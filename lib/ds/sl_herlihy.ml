@@ -20,14 +20,17 @@ type node = {
   lock : Spinlock.t;
   mutable marked : bool;
   mutable fully_linked : bool;
-  next : node option array;
+  next : node array;
+      (* length [level]; the tail sentinel's is empty, and every other
+         node's links are real nodes (the tail ends each level), so a
+         traversal step is one load, not a load plus an option unbox *)
 }
 
 type t = { alloc : Alloc.t; head : node; tail : node; cold_prng : Prng.t }
 
 let name = "lb-h"
 
-let mk_node alloc key value level =
+let mk_node alloc key value level next =
   let addr = Alloc.line alloc in
   {
     key;
@@ -37,13 +40,12 @@ let mk_node alloc key value level =
     lock = Spinlock.embed ~addr;
     marked = false;
     fully_linked = false;
-    next = Array.make level None;
+    next;
   }
 
 let create alloc =
-  let tail = mk_node alloc max_int 0 max_level in
-  let head = mk_node alloc min_int 0 max_level in
-  Array.fill head.next 0 max_level (Some tail);
+  let tail = mk_node alloc max_int 0 max_level [||] in
+  let head = mk_node alloc min_int 0 max_level (Array.make max_level tail) in
   head.fully_linked <- true;
   tail.fully_linked <- true;
   { alloc; head; tail; cold_prng = Prng.create 0x5EEDL }
@@ -63,7 +65,7 @@ let find t key preds succs =
   for lvl = max_level - 1 downto 0 do
     let continue_level = ref true in
     while !continue_level do
-      let curr = Option.get !pred.next.(lvl) in
+      let curr = !pred.next.(lvl) in
       Simops.charge_read_racy curr.addr;
       if curr.key < key then pred := curr
       else begin
@@ -119,24 +121,20 @@ let rec insert t ~key ~value =
     let valid = ref true in
     for lvl = 0 to level - 1 do
       let p = preds.(lvl) and s = succs.(lvl) in
-      let linked = match p.next.(lvl) with Some c -> c == s | None -> false in
-      if p.marked || s.marked || not linked then valid := false
+      if p.marked || s.marked || p.next.(lvl) != s then valid := false
     done;
     if not !valid then begin
       unlock_preds preds level;
       insert t ~key ~value
     end
     else begin
-      let n = mk_node t.alloc key value level in
-      for lvl = 0 to level - 1 do
-        n.next.(lvl) <- Some succs.(lvl)
-      done;
+      let n = mk_node t.alloc key value level (Array.sub succs 0 level) in
       (* releasing init publish: once the bottom link lands, other threads
          may lock [n] as a predecessor and write its line — their lock
          acquisition (an atomic on [n.addr]) must be ordered after this *)
       Simops.write_release n.addr;
       for lvl = 0 to level - 1 do
-        preds.(lvl).next.(lvl) <- Some n;
+        preds.(lvl).next.(lvl) <- n;
         Simops.write preds.(lvl).addr
       done;
       (* fully_linked is set without holding [n]'s lock, exactly as the
@@ -189,8 +187,7 @@ let remove t key =
         let valid = ref true in
         for lvl = 0 to !top_level - 1 do
           let p = preds.(lvl) in
-          let linked = match p.next.(lvl) with Some c -> c == v | None -> false in
-          if p.marked || not linked then valid := false
+          if p.marked || p.next.(lvl) != v then valid := false
         done;
         if !valid then begin
           for lvl = !top_level - 1 downto 0 do
@@ -218,26 +215,22 @@ let lookup t key =
 
 let to_list t =
   let rec go acc n =
-    match n.next.(0) with
-    | None -> List.rev acc
-    | Some c ->
-        if c.key = max_int then List.rev acc
-        else go (if c.marked || not c.fully_linked then acc else (c.key, c.value) :: acc) c
+    let c = n.next.(0) in
+    if c == t.tail then List.rev acc
+    else go (if c.marked || not c.fully_linked then acc else (c.key, c.value) :: acc) c
   in
   go [] t.head
 
 let check_invariants t =
   for lvl = 0 to max_level - 1 do
     let rec go prev n =
-      match n.next.(lvl) with
-      | None -> ()
-      | Some c ->
-          if c != t.tail then begin
-            if c.key <= prev then failwith (Printf.sprintf "sl_herlihy: level %d unsorted" lvl);
-            if c.marked then failwith "sl_herlihy: reachable marked node at quiescence";
-            if not c.fully_linked then failwith "sl_herlihy: reachable half-linked node";
-            go c.key c
-          end
+      let c = n.next.(lvl) in
+      if c != t.tail then begin
+        if c.key <= prev then failwith (Printf.sprintf "sl_herlihy: level %d unsorted" lvl);
+        if c.marked then failwith "sl_herlihy: reachable marked node at quiescence";
+        if not c.fully_linked then failwith "sl_herlihy: reachable half-linked node";
+        go c.key c
+      end
     in
     go min_int t.head
   done

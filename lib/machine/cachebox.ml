@@ -44,9 +44,8 @@ let remove_slot t slot =
   t.size <- last
 
 let remove t addr =
-  match Itbl.find_opt t.index addr with
-  | None -> ()
-  | Some slot -> remove_slot t slot
+  let slot = Itbl.find t.index addr ~default:(-1) in
+  if slot >= 0 then remove_slot t slot
 
 let grow t =
   let bigger = Array.make (min t.capacity (2 * Array.length t.slots)) (-1) in
@@ -54,18 +53,18 @@ let grow t =
   t.slots <- bigger
 
 let add t addr =
-  if Itbl.mem t.index addr then None
+  if Itbl.mem t.index addr then -1
   else begin
     let victim =
       if t.size = t.capacity then begin
         let slot = Prng.int t.prng t.size in
         let v = t.slots.(slot) in
         remove_slot t slot;
-        Some v
+        v
       end
       else begin
         if t.size = Array.length t.slots then grow t;
-        None
+        -1
       end
     in
     t.slots.(t.size) <- addr;

@@ -12,8 +12,10 @@ val capacity : t -> int
 val size : t -> int
 val mem : t -> int -> bool
 
-val add : t -> int -> int option
-(** Insert an address. If the box was full, returns [Some victim] — the
-    evicted address (never the one just inserted). No-op if present. *)
+val add : t -> int -> int
+(** Insert an address. If the box was full, returns the evicted address
+    (never the one just inserted); otherwise [-1]. No-op (returning [-1])
+    if present. Addresses are non-negative, so [-1] is never a victim;
+    an int rather than an option keeps the miss path allocation-free. *)
 
 val remove : t -> int -> unit

@@ -60,6 +60,49 @@ type bwstate = {
   mutable last_delay : int;
 }
 
+(* The model's counters, one mutable int each, bumped in place on the
+   charged-access path: the string-keyed [Stats] table they replace cost
+   two hash lookups and an option allocation per bump. {!stats} snapshots
+   them into a [Stats.t]. *)
+type counters = {
+  mutable accesses : int;
+  mutable priv_hits : int;
+  mutable llc_hits : int;
+  mutable llc_misses : int;
+  mutable remote_misses : int;
+  mutable invalidations : int;
+  mutable tlb_misses : int;
+  mutable dram_queueing : int;
+  mutable write_queueing : int;
+  mutable bw_mc_queueing : int;
+  mutable bw_link_queueing : int;
+  mutable bw_writebacks : int;
+  mutable bw_dma_bytes : int;
+}
+
+(* Every counter by its exported name: the first group always, the second
+   only with bandwidth modeling on (nothing else bumps them). *)
+let core_counters =
+  [
+    ("accesses", fun c -> c.accesses);
+    ("priv_hits", fun c -> c.priv_hits);
+    ("llc_hits", fun c -> c.llc_hits);
+    ("llc_misses", fun c -> c.llc_misses);
+    ("remote_misses", fun c -> c.remote_misses);
+    ("invalidations", fun c -> c.invalidations);
+    ("tlb_misses", fun c -> c.tlb_misses);
+    ("dram_queueing", fun c -> c.dram_queueing);
+    ("write_queueing", fun c -> c.write_queueing);
+  ]
+
+let bw_counters =
+  [
+    ("bw_mc_queueing", fun c -> c.bw_mc_queueing);
+    ("bw_link_queueing", fun c -> c.bw_link_queueing);
+    ("bw_writebacks", fun c -> c.bw_writebacks);
+    ("bw_dma_bytes", fun c -> c.bw_dma_bytes);
+  ]
+
 type t = {
   cfg : config;
   priv : Cachebox.t array;  (* per physical core *)
@@ -76,7 +119,7 @@ type t = {
   mutable regions : region array;
   mutable nregions : int;
   mutable next_addr : int;
-  stats : Stats.t;
+  ctr : counters;
   active : bool array;
 }
 
@@ -113,13 +156,39 @@ let create ?(seed = 42L) cfg =
     regions = Array.make 16 { base = 0; nlines = 0; pol = Interleave };
     nregions = 0;
     next_addr = 0;
-    stats = Stats.create ();
+    ctr =
+      {
+        accesses = 0;
+        priv_hits = 0;
+        llc_hits = 0;
+        llc_misses = 0;
+        remote_misses = 0;
+        invalidations = 0;
+        tlb_misses = 0;
+        dram_queueing = 0;
+        write_queueing = 0;
+        bw_mc_queueing = 0;
+        bw_link_queueing = 0;
+        bw_writebacks = 0;
+        bw_dma_bytes = 0;
+      };
     active = Array.make (Topology.nthreads topo) false;
   }
 
 let topology t = t.cfg.topo
 let config t = t.cfg
-let stats t = t.stats
+
+(* A counter is listed once it is nonzero: the keys the string-keyed table
+   held, which created a counter on its first bump (all of them bump by at
+   least 1; DMA charges are whole packets). *)
+let stats t =
+  let s = Stats.create () in
+  List.iter
+    (fun (name, get) ->
+      let v = get t.ctr in
+      if v <> 0 then Stats.add s name v)
+    (core_counters @ bw_counters);
+  s
 
 let alloc t pol ~lines =
   assert (lines > 0);
@@ -190,14 +259,14 @@ let home_of t addr = (line_of t addr).home
 (* A line falling out of a private cache loses its coherence permissions:
    dirty data is considered written back to the socket LLC. *)
 let priv_insert t core addr =
-  match Cachebox.add t.priv.(core) addr with
-  | None -> ()
-  | Some victim ->
-      let l = t.lines.(victim) in
-      if l != no_line then begin
-        Bitset.remove l.sharers core;
-        if l.owner = core then l.owner <- -1
-      end
+  let victim = Cachebox.add t.priv.(core) addr in
+  if victim >= 0 then begin
+    let l = t.lines.(victim) in
+    if l != no_line then begin
+      Bitset.remove l.sharers core;
+      if l.owner = core then l.owner <- -1
+    end
+  end
 
 let line_bytes = 64
 
@@ -209,23 +278,22 @@ let line_bytes = 64
    bandwidth modeling is on: with [bw:0] the eviction is free, as it
    always was. *)
 let llc_insert t ~now sock addr =
-  match Cachebox.add t.llc.(sock) addr with
-  | None -> ()
-  | Some victim -> (
-      match t.bw with
-      | None -> ()
-      | Some st ->
-          let l = t.lines.(victim) in
-          if l != no_line && l.dirty then begin
-            l.dirty <- false;
-            Stats.incr t.stats "bw_writebacks";
-            ignore (Bwbucket.charge st.mc.(l.home) ~now ~bytes:line_bytes);
-            if l.home <> sock then
-              ignore
-                (Bwbucket.charge
-                   st.link.(Topology.link_index t.cfg.topo ~src:sock ~dst:l.home)
-                   ~now ~bytes:line_bytes)
-          end)
+  let victim = Cachebox.add t.llc.(sock) addr in
+  if victim >= 0 then
+    match t.bw with
+    | None -> ()
+    | Some st ->
+        let l = t.lines.(victim) in
+        if l != no_line && l.dirty then begin
+          l.dirty <- false;
+          t.ctr.bw_writebacks <- t.ctr.bw_writebacks + 1;
+          ignore (Bwbucket.charge st.mc.(l.home) ~now ~bytes:line_bytes);
+          if l.home <> sock then
+            ignore
+              (Bwbucket.charge
+                 st.link.(Topology.link_index t.cfg.topo ~src:sock ~dst:l.home)
+                 ~now ~bytes:line_bytes)
+        end
 
 (* First other socket whose LLC holds the line, or -1: the transfer
    source for a cross-socket LLC hit. *)
@@ -236,85 +304,40 @@ let llc_socket_elsewhere t sock addr =
   done;
   !found
 
-let fetch_cost t line ~core ~sock ~addr =
-  let c = t.cfg.costs in
-  let topo = t.cfg.topo in
+(* Where a miss is served from, as a plain int so the access path
+   allocates nothing: a socket number [>= 0] is a cross-socket transfer
+   from that socket's cache; the negative codes are the other sources. *)
+let src_llc = -1 (* this socket's LLC, or a transfer from a core on it *)
+let src_dram = -2 (* DRAM on this socket *)
+let src_remote_dram = -3 (* DRAM on another socket *)
+let src_upgrade = -4 (* a write to a line this core already shares *)
+
+let fetch_source t line ~core ~sock ~addr =
   if line.owner >= 0 && line.owner <> core then begin
-    let owner_sock = Topology.socket_of_core topo line.owner in
-    if owner_sock = sock then (c.Costs.llc_hit, `Local_transfer)
-    else (c.Costs.llc_remote, `Remote owner_sock)
+    let owner_sock = Topology.socket_of_core t.cfg.topo line.owner in
+    if owner_sock = sock then src_llc else owner_sock
   end
-  else if Cachebox.mem t.llc.(sock) addr then (c.Costs.llc_hit, `Llc)
+  else if Cachebox.mem t.llc.(sock) addr then src_llc
   else begin
     let src = llc_socket_elsewhere t sock addr in
-    if src >= 0 then (c.Costs.llc_remote, `Remote src)
-    else if line.home = sock then (c.Costs.dram_local, `Dram)
-    else (c.Costs.dram_remote, `Remote_dram)
+    if src >= 0 then src else if line.home = sock then src_dram else src_remote_dram
   end
 
-let count_fetch t = function
-  | `Local_transfer | `Llc -> Stats.incr t.stats "llc_hits"
-  | `Remote _ ->
-      Stats.incr t.stats "llc_misses";
-      Stats.incr t.stats "remote_misses"
-  | `Dram -> Stats.incr t.stats "llc_misses"
-  | `Remote_dram ->
-      Stats.incr t.stats "llc_misses";
-      Stats.incr t.stats "remote_misses"
+let fetch_cost c src =
+  if src >= 0 then c.Costs.llc_remote
+  else if src = src_llc then c.Costs.llc_hit
+  else if src = src_dram then c.Costs.dram_local
+  else if src = src_remote_dram then c.Costs.dram_remote
+  else c.Costs.priv_hit
 
-(* Charge the bytes a fetch moves against the buckets they traverse:
-   DRAM fills hit the home node's memory controller, cross-socket
-   transfers hit the link from the source socket, remote DRAM fills hit
-   both (overlapped, so the delay is the max). Returns the queueing delay
-   and accumulates it in [last_delay] for {!access_mlp}. *)
-let bw_fill t ~now ~sock line src =
-  match t.bw with
-  | None -> 0
-  | Some st ->
-      let topo = t.cfg.topo in
-      let charge_mc node =
-        let d = Bwbucket.charge st.mc.(node) ~now ~bytes:line_bytes in
-        if d > 0 then Stats.incr t.stats "bw_mc_queueing";
-        d
-      in
-      let charge_link ~src ~dst =
-        let d =
-          Bwbucket.charge st.link.(Topology.link_index topo ~src ~dst) ~now ~bytes:line_bytes
-        in
-        if d > 0 then Stats.incr t.stats "bw_link_queueing";
-        d
-      in
-      let d =
-        match src with
-        | `Dram -> charge_mc line.home
-        | `Remote_dram -> max (charge_mc line.home) (charge_link ~src:line.home ~dst:sock)
-        | `Remote src_sock -> charge_link ~src:src_sock ~dst:sock
-        | `Local_transfer | `Llc | `Upgrade -> 0
-      in
-      st.last_delay <- st.last_delay + d;
-      d
-
-let invalidation_cost t line ~core ~sock =
-  let c = t.cfg.costs in
-  let topo = t.cfg.topo in
-  let remote = ref false and local = ref false in
-  Bitset.iter
-    (fun s ->
-      if s <> core && s <> line.owner then
-        if Topology.socket_of_core topo s = sock then local := true else remote := true)
-    line.sharers;
-  if !remote then c.Costs.inval_remote else if !local then c.Costs.inval_local else 0
-
-let do_invalidate t line ~core ~sock ~addr =
-  Bitset.iter (fun s -> if s <> core then Cachebox.remove t.priv.(s) addr) line.sharers;
-  if line.owner >= 0 && line.owner <> core then Cachebox.remove t.priv.(line.owner) addr;
-  for s = 0 to Array.length t.llc - 1 do
-    if s <> sock then Cachebox.remove t.llc.(s) addr
-  done;
-  Bitset.clear line.sharers;
-  Bitset.add line.sharers core;
-  line.owner <- core;
-  line.dirty <- true
+let count_fetch t src =
+  let c = t.ctr in
+  if src = src_llc then c.llc_hits <- c.llc_hits + 1
+  else if src = src_upgrade then c.priv_hits <- c.priv_hits + 1
+  else begin
+    c.llc_misses <- c.llc_misses + 1;
+    if src <> src_dram then c.remote_misses <- c.remote_misses + 1
+  end
 
 (* A node's memory controller streams one line every few cycles; fetches
    that reach DRAM queue behind it. A working set homed on one node (the
@@ -325,8 +348,72 @@ let dram_service_cycles = 6
 let dram_queue t ~now node =
   let queue = max 0 (t.dram_busy.(node) - now) in
   t.dram_busy.(node) <- max now t.dram_busy.(node) + dram_service_cycles;
-  if queue > 0 then Stats.incr t.stats "dram_queueing";
+  if queue > 0 then t.ctr.dram_queueing <- t.ctr.dram_queueing + 1;
   queue
+
+let charge_mc t st ~now ~bytes node =
+  let d = Bwbucket.charge st.mc.(node) ~now ~bytes in
+  if d > 0 then t.ctr.bw_mc_queueing <- t.ctr.bw_mc_queueing + 1;
+  d
+
+let charge_link t st ~now ~src ~dst =
+  let d =
+    Bwbucket.charge st.link.(Topology.link_index t.cfg.topo ~src ~dst) ~now ~bytes:line_bytes
+  in
+  if d > 0 then t.ctr.bw_link_queueing <- t.ctr.bw_link_queueing + 1;
+  d
+
+(* Charge the bytes a fetch moves against the buckets they traverse:
+   DRAM fills hit the home node's memory controller, cross-socket
+   transfers hit the link from the source socket, remote DRAM fills hit
+   both (overlapped, so the delay is the max). Returns the queueing delay
+   and accumulates it in [last_delay] for {!access_mlp}. *)
+let bw_fill t st ~now ~sock line src =
+  let d =
+    if src = src_dram then charge_mc t st ~now ~bytes:line_bytes line.home
+    else if src = src_remote_dram then
+      max
+        (charge_mc t st ~now ~bytes:line_bytes line.home)
+        (charge_link t st ~now ~src:line.home ~dst:sock)
+    else if src >= 0 then charge_link t st ~now ~src ~dst:sock
+    else 0
+  in
+  st.last_delay <- st.last_delay + d;
+  d
+
+(* The fill's queueing delay: the DRAM service queue with bandwidth
+   modeling off, the token buckets with it on. *)
+let fill_delay t ~now ~sock line src =
+  match t.bw with
+  | None -> if src = src_dram || src = src_remote_dram then dram_queue t ~now line.home else 0
+  | Some st -> bw_fill t st ~now ~sock line src
+
+let invalidation_cost t line ~core ~sock =
+  let c = t.cfg.costs in
+  let topo = t.cfg.topo in
+  let remote = ref false and local = ref false in
+  let s = ref (Bitset.next line.sharers 0) in
+  while !s >= 0 do
+    if !s <> core && !s <> line.owner then
+      if Topology.socket_of_core topo !s = sock then local := true else remote := true;
+    s := Bitset.next line.sharers (!s + 1)
+  done;
+  if !remote then c.Costs.inval_remote else if !local then c.Costs.inval_local else 0
+
+let do_invalidate t line ~core ~sock ~addr =
+  let s = ref (Bitset.next line.sharers 0) in
+  while !s >= 0 do
+    if !s <> core then Cachebox.remove t.priv.(!s) addr;
+    s := Bitset.next line.sharers (!s + 1)
+  done;
+  if line.owner >= 0 && line.owner <> core then Cachebox.remove t.priv.(line.owner) addr;
+  for s = 0 to Array.length t.llc - 1 do
+    if s <> sock then Cachebox.remove t.llc.(s) addr
+  done;
+  Bitset.clear line.sharers;
+  Bitset.add line.sharers core;
+  line.owner <- core;
+  line.dirty <- true
 
 (* Address translation: the page walk reads page tables homed where the
    page lives, so pointer chases over big remote working sets pay remote
@@ -335,7 +422,7 @@ let tlb_cost t ~core ~sock line addr =
   let page = addr lsr 6 in
   if Cachebox.mem t.tlb.(core) page then 0
   else begin
-    Stats.incr t.stats "tlb_misses";
+    t.ctr.tlb_misses <- t.ctr.tlb_misses + 1;
     ignore (Cachebox.add t.tlb.(core) page);
     if line.home = sock then t.cfg.costs.Costs.walk_local else t.cfg.costs.Costs.walk_remote
   end
@@ -345,24 +432,21 @@ let access_slow t ~now ~core ~addr ~kind =
   let sock = Topology.socket_of_core topo core in
   let line = line_of t addr in
   let c = t.cfg.costs in
-  Stats.incr t.stats "accesses";
+  let ctr = t.ctr in
+  ctr.accesses <- ctr.accesses + 1;
   let translation = tlb_cost t ~core ~sock line addr in
   let present = Cachebox.mem t.priv.(core) addr in
   match kind with
   | Read ->
       if present && (line.owner = core || Bitset.mem line.sharers core) then begin
-        Stats.incr t.stats "priv_hits";
+        ctr.priv_hits <- ctr.priv_hits + 1;
         translation + c.Costs.priv_hit
       end
       else begin
-        let cost, src = fetch_cost t line ~core ~sock ~addr in
+        let src = fetch_source t line ~core ~sock ~addr in
+        let cost = fetch_cost c src in
         count_fetch t src;
-        let bw =
-          match t.bw with
-          | None -> (
-              match src with `Dram | `Remote_dram -> dram_queue t ~now line.home | _ -> 0)
-          | Some _ -> bw_fill t ~now ~sock line src
-        in
+        let bw = fill_delay t ~now ~sock line src in
         if line.owner >= 0 && line.owner <> core then begin
           (* Dirty remote copy becomes shared. *)
           Bitset.add line.sharers line.owner;
@@ -381,25 +465,19 @@ let access_slow t ~now ~core ~addr ~kind =
   | Write | Rmw ->
       let extra = if kind = Rmw then c.Costs.rmw_extra else 0 in
       if present && line.owner = core then begin
-        Stats.incr t.stats "priv_hits";
+        ctr.priv_hits <- ctr.priv_hits + 1;
         translation + c.Costs.priv_hit + extra
       end
       else begin
-        let fetch, src =
-          if present && Bitset.mem line.sharers core then (c.Costs.priv_hit, `Upgrade)
-          else fetch_cost t line ~core ~sock ~addr
+        let src =
+          if present && Bitset.mem line.sharers core then src_upgrade
+          else fetch_source t line ~core ~sock ~addr
         in
-        (match src with
-        | `Upgrade -> Stats.incr t.stats "priv_hits"
-        | (`Local_transfer | `Llc | `Remote _ | `Dram | `Remote_dram) as s -> count_fetch t s);
-        let bw =
-          match t.bw with
-          | None -> (
-              match src with `Dram | `Remote_dram -> dram_queue t ~now line.home | _ -> 0)
-          | Some _ -> bw_fill t ~now ~sock line src
-        in
+        let fetch = fetch_cost c src in
+        count_fetch t src;
+        let bw = fill_delay t ~now ~sock line src in
         let inval = invalidation_cost t line ~core ~sock in
-        if inval > 0 then Stats.incr t.stats "invalidations";
+        if inval > 0 then ctr.invalidations <- ctr.invalidations + 1;
         do_invalidate t line ~core ~sock ~addr;
         priv_insert t core addr;
         llc_insert t ~now sock addr;
@@ -407,7 +485,7 @@ let access_slow t ~now ~core ~addr ~kind =
            transfer still in flight. *)
         let transfer = fetch + inval + extra in
         let queue = max 0 (line.wbusy - now) in
-        if queue > 0 then Stats.incr t.stats "write_queueing";
+        if queue > 0 then ctr.write_queueing <- ctr.write_queueing + 1;
         line.wbusy <- max now line.wbusy + transfer;
         if Dps_obs.Obs.profiling_on () then begin
           match t.bw with
@@ -432,8 +510,9 @@ let access t ~now ~thread ~addr ~kind =
      bit-identical, only host time changes. *)
   if kind = Read && Cachebox.mem t.priv.(core) addr && Cachebox.mem t.tlb.(core) (addr lsr 6)
   then begin
-    Stats.incr t.stats "accesses";
-    Stats.incr t.stats "priv_hits";
+    let ctr = t.ctr in
+    ctr.accesses <- ctr.accesses + 1;
+    ctr.priv_hits <- ctr.priv_hits + 1;
     t.cfg.costs.Costs.priv_hit
   end
   else access_slow t ~now ~core ~addr ~kind
@@ -460,10 +539,8 @@ let bw_charge_dma t ~now ~socket ~bytes =
   match t.bw with
   | None -> 0
   | Some st ->
-      let d = Bwbucket.charge st.mc.(socket) ~now ~bytes in
-      Stats.add t.stats "bw_dma_bytes" bytes;
-      if d > 0 then Stats.incr t.stats "bw_mc_queueing";
-      d
+      t.ctr.bw_dma_bytes <- t.ctr.bw_dma_bytes + bytes;
+      charge_mc t st ~now ~bytes socket
 
 let bw_enabled t = t.bw <> None
 
@@ -495,7 +572,7 @@ let bw_snapshot t =
           mc_queue_cycles = Array.map Bwbucket.queue_cycles st.mc;
           link_bytes;
           link_queue_cycles;
-          writebacks = Stats.get t.stats "bw_writebacks";
+          writebacks = t.ctr.bw_writebacks;
         }
 
 let interconnect_bytes t =
@@ -513,34 +590,19 @@ let work_cost t ~thread n =
 let cycles_to_seconds t cycles = float_of_int cycles /. (t.cfg.topo.Topology.ghz *. 1e9)
 
 let register_obs t reg =
-  let counters =
-    [
-      "accesses";
-      "priv_hits";
-      "llc_hits";
-      "llc_misses";
-      "remote_misses";
-      "invalidations";
-      "tlb_misses";
-      "dram_queueing";
-      "write_queueing";
-    ]
+  let gauges counters =
+    List.iter
+      (fun (name, get) ->
+        Dps_obs.Registry.gauge_fn reg ~help:("machine model counter " ^ name)
+          ("machine." ^ name)
+          (fun () -> float_of_int (get t.ctr)))
+      counters
   in
-  List.iter
-    (fun name ->
-      Dps_obs.Registry.gauge_fn reg ~help:("machine model counter " ^ name)
-        ("machine." ^ name)
-        (fun () -> float_of_int (Stats.get t.stats name)))
-    counters;
+  gauges core_counters;
   match t.bw with
   | None -> ()
   | Some st ->
-      List.iter
-        (fun name ->
-          Dps_obs.Registry.gauge_fn reg ~help:("machine model counter " ^ name)
-            ("machine." ^ name)
-            (fun () -> float_of_int (Stats.get t.stats name)))
-        [ "bw_mc_queueing"; "bw_link_queueing"; "bw_writebacks"; "bw_dma_bytes" ];
+      gauges bw_counters;
       Array.iteri
         (fun s b ->
           let labels = [ ("socket", string_of_int s) ] in

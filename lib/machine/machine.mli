@@ -88,17 +88,26 @@ val home_of : t -> int -> int
 (** NUMA node a line is homed on (for tests). *)
 
 val stats : t -> Dps_simcore.Stats.t
-(** Counters: ["accesses"], ["priv_hits"], ["llc_hits"], ["llc_misses"]
-    (served by DRAM or another socket), ["remote_misses"] (cross-socket
-    only), ["invalidations"]; with bandwidth modeling on, also
-    ["bw_mc_queueing"], ["bw_link_queueing"], ["bw_writebacks"] and
-    ["bw_dma_bytes"]. *)
+(** A point-in-time snapshot of the model's counters, built fresh on every
+    call: later accesses do not update it, so read it again after a run
+    (and subtract an earlier snapshot for a delta). Counters:
+    ["accesses"], ["priv_hits"], ["llc_hits"], ["llc_misses"] (served by
+    DRAM or another socket), ["remote_misses"] (cross-socket only),
+    ["invalidations"], ["tlb_misses"], ["dram_queueing"] (DRAM fills that
+    waited on a busy memory controller) and ["write_queueing"] (ownership
+    transfers that waited behind one in flight); with bandwidth modeling
+    on, also ["bw_mc_queueing"], ["bw_link_queueing"], ["bw_writebacks"]
+    and ["bw_dma_bytes"]. A counter appears once it is nonzero, so a fresh
+    machine's snapshot is empty. The machine keeps the counters as plain
+    mutable ints; this is the only place they become a [Stats.t]. *)
 
 val cycles_to_seconds : t -> int -> float
 
 val register_obs : t -> Dps_obs.Registry.t -> unit
 (** Publish the {!stats} counters as sampled gauges named
-    [machine.<counter>] in an observability registry. With bandwidth
+    [machine.<counter>] in an observability registry; each sample reads
+    the live counter (the nine base counters always, the [bw_*] ones with
+    bandwidth modeling on). With bandwidth
     modeling on, also publishes per-socket memory-controller gauges
     ([machine.bw_mc_bytes{socket=s}], [machine.bw_mc_queue_cycles{socket=s}],
     [machine.bw_mc_occupancy{socket=s}]) and per-link gauges

@@ -20,6 +20,12 @@ val is_empty : t -> bool
 val iter : (int -> unit) -> t -> unit
 (** Iterate set members in increasing order. *)
 
+val next : t -> int -> int
+(** [next t i] is the smallest member [>= i], or [-1] if there is none
+    (also when [i >= capacity t]). Allocation-free, unlike {!iter} with a
+    capturing closure: walk a set with
+    [let s = ref (next t 0) in while !s >= 0 do ...; s := next t (!s + 1) done]. *)
+
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 val exists : (int -> bool) -> t -> bool

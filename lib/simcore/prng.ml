@@ -1,21 +1,29 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable
+   [int64] field: the compiler reads and writes it unboxed, so a draw
+   allocates nothing (a field store boxes a fresh [int64] per draw). Cache
+   evictions draw on every capacity miss. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
 let split t =
   let s = next64 t in
-  { state = mix64 (Int64.logxor s 0xA5A5A5A5A5A5A5A5L) }
+  create (mix64 (Int64.logxor s 0xA5A5A5A5A5A5A5A5L))
 
 let int t bound =
   assert (bound > 0);

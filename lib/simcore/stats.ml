@@ -10,7 +10,10 @@ let cell t name =
       Hashtbl.add t name r;
       r
 
-let add t name n = cell t name := !(cell t name) + n
+let add t name n =
+  let r = cell t name in
+  r := !r + n
+
 let incr t name = add t name 1
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 let reset t = Hashtbl.reset t

@@ -29,8 +29,8 @@ let measure ~sched ~threads ?placement ~duration ?min_ops ?(prologue = fun ~tid:
   let placement =
     match placement with Some p -> p | None -> Topology.placement topo ~n:threads
   in
-  let stats = Machine.stats m in
-  let misses0 = Stats.get stats "llc_misses" and remote0 = Stats.get stats "remote_misses" in
+  let before = Machine.stats m in
+  let misses0 = Stats.get before "llc_misses" and remote0 = Stats.get before "remote_misses" in
   let hist = Histogram.create () in
   let start_time = Sthread.now sched in
   let horizon = start_time + duration in
@@ -57,13 +57,15 @@ let measure ~sched ~threads ?placement ~duration ?min_ops ?(prologue = fun ~tid:
   let elapsed = max duration (Sthread.now sched - start_time) in
   let seconds = Machine.cycles_to_seconds m elapsed in
   let per_op c = if ops = 0 then 0.0 else float_of_int c /. float_of_int ops in
+  (* [Machine.stats] is a snapshot: take a second one after the run *)
+  let after = Machine.stats m in
   {
     threads;
     ops;
     duration_cycles = elapsed;
     throughput_mops = (if ops = 0 then 0.0 else float_of_int ops /. seconds /. 1e6);
-    llc_misses_per_op = per_op (Stats.get stats "llc_misses" - misses0);
-    remote_misses_per_op = per_op (Stats.get stats "remote_misses" - remote0);
+    llc_misses_per_op = per_op (Stats.get after "llc_misses" - misses0);
+    remote_misses_per_op = per_op (Stats.get after "remote_misses" - remote0);
     mean_latency = Histogram.mean hist;
     p50 = Histogram.percentile hist 0.50;
     p99 = Histogram.percentile hist 0.99;

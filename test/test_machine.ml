@@ -74,12 +74,10 @@ let test_cachebox_basic () =
   Alcotest.(check int) "full" 4 (Cachebox.size cb);
   Alcotest.(check bool) "mem" true (Cachebox.mem cb 3);
   let victim = Cachebox.add cb 5 in
-  Alcotest.(check bool) "eviction happened" true (victim <> None);
+  Alcotest.(check bool) "eviction happened" true (victim >= 0);
   Alcotest.(check int) "still full" 4 (Cachebox.size cb);
   Alcotest.(check bool) "new member present" true (Cachebox.mem cb 5);
-  (match victim with
-  | Some v -> Alcotest.(check bool) "victim gone" false (Cachebox.mem cb v)
-  | None -> ());
+  Alcotest.(check bool) "victim gone" false (Cachebox.mem cb victim);
   Cachebox.remove cb 5;
   Alcotest.(check bool) "removed" false (Cachebox.mem cb 5);
   Alcotest.(check int) "size after remove" 3 (Cachebox.size cb)
@@ -283,6 +281,152 @@ let test_cycles_to_seconds () =
   let m = mk_machine () in
   Alcotest.(check (float 1e-12)) "2 GHz" 1e-9 (Machine.cycles_to_seconds m 2)
 
+(* --- allocation-free charged-access path ------------------------------ *)
+
+(* Minor-heap words allocated while [f] runs. [Gc.minor_words] is unboxed
+   in native code, so the probe itself allocates nothing. *)
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+let accesses_alloc_free name m ~thread ~addr_of ~kind =
+  let w =
+    minor_words_during (fun () ->
+        for i = 1 to 10_000 do
+          ignore (Machine.access m ~now:(i * 4) ~thread ~addr:(addr_of i) ~kind)
+        done)
+  in
+  Alcotest.(check int) (name ^ ": minor words over 10k accesses") 0 w
+
+let slow_path_count m =
+  let s = Machine.stats m in
+  Stats.get s "accesses" - Stats.get s "priv_hits"
+
+let test_private_hits_allocation_free () =
+  let m = Machine.create (Machine.config_scaled ()) in
+  let a = Machine.alloc m (Machine.On_node 0) ~lines:8 in
+  ignore (Machine.access m ~now:0 ~thread:0 ~addr:a ~kind:Machine.Read);
+  let slow0 = slow_path_count m in
+  accesses_alloc_free "private hits" m ~thread:0 ~addr_of:(fun _ -> a) ~kind:Machine.Read;
+  Alcotest.(check int) "all were private hits" slow0 (slow_path_count m)
+
+(* Misses to lines that are already materialised: reads sweeping four
+   times the private capacity (every fill evicts), then writes from socket
+   0 to eight lines that an atomic on socket 1 and a reader on socket 2
+   keep taking back (every write fetches the line and invalidates a
+   sharer). With bandwidth modeling on, the fills also charge the token
+   buckets. *)
+let test_misses_allocation_free () =
+  List.iter
+    (fun (label, costs) ->
+      let cfg = { (Machine.config_scaled ()) with Machine.costs } in
+      let m = Machine.create cfg in
+      let lines = 4 * cfg.Machine.priv_lines in
+      let a = Machine.alloc m Machine.Interleave ~lines in
+      for i = 0 to lines - 1 do
+        ignore (Machine.access m ~now:0 ~thread:0 ~addr:(a + i) ~kind:Machine.Read);
+        ignore (Machine.access m ~now:0 ~thread:20 ~addr:(a + i) ~kind:Machine.Write)
+      done;
+      let slow0 = slow_path_count m in
+      accesses_alloc_free (label ^ " read misses") m ~thread:0
+        ~addr_of:(fun i -> a + (i mod lines))
+        ~kind:Machine.Read;
+      let slow1 = slow_path_count m in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: reads took the miss path (%d of 10000)" label (slow1 - slow0))
+        true
+        (slow1 - slow0 > 5_000);
+      let inval0 = Stats.get (Machine.stats m) "invalidations" in
+      accesses_alloc_free (label ^ " write misses") m ~thread:0
+        ~addr_of:(fun i ->
+          let addr = a + (i mod 8) in
+          ignore (Machine.access m ~now:(i * 4) ~thread:20 ~addr ~kind:Machine.Rmw);
+          ignore (Machine.access m ~now:(i * 4) ~thread:40 ~addr ~kind:Machine.Read);
+          addr)
+        ~kind:Machine.Write;
+      Alcotest.(check bool) (label ^ ": writes invalidated sharers") true
+        (Stats.get (Machine.stats m) "invalidations" - inval0 >= 10_000))
+    [ ("bw off", Costs.default); ("bw on", { Costs.default with Costs.bw = Costs.bw_default }) ]
+
+(* --- [stats] is a snapshot of the typed counters ---------------------- *)
+
+let seeded_trace m =
+  let nthreads = Topology.nthreads (Machine.topology m) in
+  let hot = Machine.alloc m (Machine.On_node 0) ~lines:1024 in
+  let wide = Machine.alloc m Machine.Interleave ~lines:4096 in
+  let p = Prng.create 0x5AA95L in
+  for i = 0 to 19_999 do
+    let thread = Prng.int p nthreads in
+    let addr = if Prng.bool p then hot + Prng.int p 32 else wide + Prng.int p 4096 in
+    let kind =
+      match Prng.int p 3 with 0 -> Machine.Read | 1 -> Machine.Write | _ -> Machine.Rmw
+    in
+    ignore (Machine.access m ~now:(i / 4) ~thread ~addr ~kind);
+    if i mod 100 = 0 then
+      ignore (Machine.bw_charge_dma m ~now:(i / 4) ~socket:(i mod 4) ~bytes:16384)
+  done
+
+(* Recorded from the string-keyed implementation on the same trace. *)
+let expected_bw_off =
+  [
+    ("accesses", 20000);
+    ("dram_queueing", 5077);
+    ("invalidations", 3251);
+    ("llc_hits", 4182);
+    ("llc_misses", 15321);
+    ("priv_hits", 497);
+    ("remote_misses", 13971);
+    ("tlb_misses", 8115);
+    ("write_queueing", 7077);
+  ]
+
+let expected_bw_on =
+  [
+    ("accesses", 20000);
+    ("bw_dma_bytes", 3276800);
+    ("bw_link_queueing", 12708);
+    ("bw_mc_queueing", 1481);
+    ("bw_writebacks", 3448);
+    ("invalidations", 3251);
+    ("llc_hits", 4182);
+    ("llc_misses", 15321);
+    ("priv_hits", 497);
+    ("remote_misses", 13971);
+    ("tlb_misses", 8115);
+    ("write_queueing", 7077);
+  ]
+
+let machine_gauges m =
+  let reg = Dps_obs.Registry.create () in
+  Machine.register_obs m reg;
+  List.filter_map
+    (fun (s : Dps_obs.Registry.sample) ->
+      match (s.labels, s.value) with
+      | [], Dps_obs.Registry.Gauge_v v when String.starts_with ~prefix:"machine." s.name ->
+          Some (String.sub s.name 8 (String.length s.name - 8), int_of_float v)
+      | _ -> None)
+    (Dps_obs.Registry.snapshot reg)
+
+let test_stats_snapshot () =
+  List.iter
+    (fun (label, costs, expected) ->
+      let m = Machine.create { (Machine.config_scaled ~factor:1024 ()) with Machine.costs } in
+      Alcotest.(check (list (pair string int))) (label ^ ": fresh machine") []
+        (Stats.to_list (Machine.stats m));
+      let fresh = Machine.stats m in
+      seeded_trace m;
+      Alcotest.(check (list (pair string int))) (label ^ ": after the trace") expected
+        (Stats.to_list (Machine.stats m));
+      Alcotest.(check (list (pair string int))) (label ^ ": earlier snapshot unchanged") []
+        (Stats.to_list fresh);
+      Alcotest.(check (list (pair string int))) (label ^ ": registry gauges agree") expected
+        (List.filter (fun (_, v) -> v <> 0) (machine_gauges m)))
+    [
+      ("bw off", Costs.default, expected_bw_off);
+      ("bw on", { Costs.default with Costs.bw = Costs.bw_default }, expected_bw_on);
+    ]
+
 let suite =
   [
     ("topology counts", `Quick, test_topology_counts);
@@ -309,4 +453,7 @@ let suite =
     ("many regions lookup", `Quick, test_many_regions_lookup);
     ("unallocated access rejected", `Quick, test_unallocated_access_rejected);
     ("cycles to seconds", `Quick, test_cycles_to_seconds);
+    ("private hits allocation-free", `Quick, test_private_hits_allocation_free);
+    ("misses allocation-free", `Quick, test_misses_allocation_free);
+    ("stats snapshot", `Quick, test_stats_snapshot);
   ]

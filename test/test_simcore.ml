@@ -72,6 +72,18 @@ let test_bitset_iter_order () =
   let got = Bitset.fold (fun acc i -> i :: acc) [] b |> List.rev in
   Alcotest.(check (list int)) "sorted member order" [ 0; 3; 77; 150; 199 ] got
 
+let test_bitset_next () =
+  let b = Bitset.create 200 in
+  List.iter (Bitset.add b) [ 150; 3; 62; 63; 0; 199 ];
+  let rec walk i = match Bitset.next b i with -1 -> [] | m -> m :: walk (m + 1) in
+  Alcotest.(check (list int)) "walk equals iter" [ 0; 3; 62; 63; 150; 199 ] (walk 0);
+  Alcotest.(check int) "from a member" 62 (Bitset.next b 62);
+  Alcotest.(check int) "skips within a word" 62 (Bitset.next b 4);
+  Alcotest.(check int) "first bit of the second word" 63 (Bitset.next b 63);
+  Alcotest.(check int) "between members" 150 (Bitset.next b 64);
+  Alcotest.(check int) "past the last member" (-1) (Bitset.next b 200);
+  Alcotest.(check int) "empty set" (-1) (Bitset.next (Bitset.create 10) 0)
+
 let test_bitset_clear () =
   let b = Bitset.create 70 in
   List.iter (Bitset.add b) [ 1; 2; 3; 69 ];
@@ -236,6 +248,7 @@ let suite =
     ("prng below probability", `Quick, test_prng_below_probability);
     ("bitset basics", `Quick, test_bitset_basics);
     ("bitset iter order", `Quick, test_bitset_iter_order);
+    ("bitset next", `Quick, test_bitset_next);
     ("bitset clear", `Quick, test_bitset_clear);
     ("bitset singleton", `Quick, test_bitset_singleton);
     ("bitset exists", `Quick, test_bitset_exists);

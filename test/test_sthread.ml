@@ -410,6 +410,32 @@ let test_at_events () =
   Alcotest.check_raises "past time rejected" (Invalid_argument "Sthread.at: time in the past")
     (fun () -> Sthread.at s ~time:(Sthread.now s - 1) (fun () -> ()))
 
+(* A batched charge with no tracer installed allocates nothing: no trace
+   event is built for nobody, and the machine's counters are plain ints.
+   With a tracer the events still arrive, one per charge. *)
+let test_charge_read_allocation_free () =
+  let charge_10k ?tracer () =
+    let s = mk () in
+    Sthread.set_tracer s tracer;
+    let a = Machine.alloc (Sthread.machine s) (Machine.On_node 0) ~lines:1 in
+    let words = ref (-1) in
+    Sthread.spawn s ~hw:0 (fun () ->
+        Sthread.charge_read a;
+        let before = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          Sthread.charge_read a
+        done;
+        words := int_of_float (Gc.minor_words () -. before);
+        Sthread.flush ());
+    Sthread.run s;
+    !words
+  in
+  Alcotest.(check int) "minor words over 10k charge_read, no tracer" 0 (charge_10k ());
+  let seen = ref 0 in
+  let tracer = function Sthread.T_access _ -> incr seen | _ -> () in
+  ignore (charge_10k ~tracer ());
+  Alcotest.(check int) "traced: one access event per charge" 10_001 !seen
+
 let suite =
   [
     ("park and unpark", `Quick, test_park_unpark);
@@ -438,4 +464,5 @@ let suite =
     ("outside context rejected", `Quick, test_outside_context_rejected);
     ("access pipelined", `Quick, test_access_pipelined);
     ("hyperthread dilation", `Quick, test_hyperthread_dilation_in_sim);
+    ("charge_read allocation-free", `Quick, test_charge_read_allocation_free);
   ]

@@ -172,6 +172,25 @@ let test_driver_reproducible () =
   Alcotest.(check (float 0.0)) "same misses/op" r1.Driver.llc_misses_per_op
     r2.Driver.llc_misses_per_op
 
+(* [Machine.stats] is a snapshot, so the driver must read the counters
+   again after the run: a miss-heavy point reports its misses. *)
+let test_driver_counts_misses () =
+  let m = Machine.create (Machine.config_scaled ()) in
+  let sched = Sthread.create m in
+  let lines = 65_536 in
+  let a = Machine.alloc m Machine.Interleave ~lines in
+  let r =
+    Driver.measure ~sched ~threads:8 ~duration:200_000
+      ~op:(fun ~tid:_ ~step:_ ->
+        Dps_sthread.Simops.read (a + Prng.int (Sthread.self_prng ()) lines))
+      ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "llc misses per op %.2f > 0.5" r.Driver.llc_misses_per_op)
+    true
+    (r.Driver.llc_misses_per_op > 0.5);
+  Alcotest.(check bool) "remote misses per op > 0" true (r.Driver.remote_misses_per_op > 0.)
+
 let suite =
   [
     ("uniform bounds", `Quick, test_uniform_bounds);
@@ -183,6 +202,7 @@ let suite =
     ("zipf bounds", `Quick, test_zipf_bounds);
     ("driver measures", `Quick, test_driver_measures);
     ("driver min_ops", `Quick, test_driver_min_ops);
+    ("driver counts misses", `Quick, test_driver_counts_misses);
     ("driver prologue/epilogue", `Quick, test_driver_prologue_epilogue);
     ("ycsb mixes", `Quick, test_ycsb_mixes);
     ("ycsb D grows and reads latest", `Quick, test_ycsb_d_grows_and_reads_latest);
