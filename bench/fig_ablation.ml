@@ -62,7 +62,13 @@ let check_budget () =
   List.iter
     (fun (b, r) ->
       Printf.printf "%-8d %12.3f %10d %10d\n%!" b r.Driver.throughput_mops r.Driver.p50
-        r.Driver.p99)
+        r.Driver.p99;
+      json_record ~series:"check_budget" ~x:(string_of_int b)
+        [
+          ("throughput_mops", r.Driver.throughput_mops);
+          ("p50", float_of_int r.Driver.p50);
+          ("p99", float_of_int r.Driver.p99);
+        ])
     (map_points
        (fun b -> (b, run_deleg ~check_budget:b ~op_len:500 ()))
        (if quick then [ 1; 4; 32 ] else [ 1; 2; 4; 8; 16; 32 ]))
@@ -71,7 +77,10 @@ let ring_slots () =
   print_header "Ablation: ring slots (asynchronous flood, 500-cycle ops + 1000-cycle delay)";
   Printf.printf "%-8s %12s\n" "slots" "Mops/s";
   List.iter
-    (fun (n, r) -> Printf.printf "%-8d %12.3f\n%!" n r.Driver.throughput_mops)
+    (fun (n, r) ->
+      Printf.printf "%-8d %12.3f\n%!" n r.Driver.throughput_mops;
+      json_record ~series:"ring_slots" ~x:(string_of_int n)
+        [ ("throughput_mops", r.Driver.throughput_mops) ])
     (map_points
        (fun n -> (n, run_deleg ~ring_slots:n ~async:true ~op_len:500 ~delay:1000 ()))
        (if quick then [ 2; 16 ] else [ 2; 4; 16; 64 ]))
@@ -117,12 +126,14 @@ let pollers () =
     | _ -> assert false
   in
   Printf.printf "%-12s %10s %10s\n" "mode" "p50" "p99";
-  Printf.printf "%-12s %10d %10d\n" "no poller"
-    (Dps_simcore.Histogram.percentile no_poller 0.5)
-    (Dps_simcore.Histogram.percentile no_poller 0.99);
-  Printf.printf "%-12s %10d %10d\n%!" "poller"
-    (Dps_simcore.Histogram.percentile with_poller 0.5)
-    (Dps_simcore.Histogram.percentile with_poller 0.99)
+  List.iter
+    (fun (mode, hist) ->
+      let p50 = Dps_simcore.Histogram.percentile hist 0.5
+      and p99 = Dps_simcore.Histogram.percentile hist 0.99 in
+      Printf.printf "%-12s %10d %10d\n%!" mode p50 p99;
+      json_record ~series:"dedicated_pollers" ~x:mode
+        [ ("p50", float_of_int p50); ("p99", float_of_int p99) ])
+    [ ("no poller", no_poller); ("poller", with_poller) ]
 
 (* The lock family on the contended r/w-object workload — the
    related-work alternatives (Dice et al.) to DPS's restructuring, now

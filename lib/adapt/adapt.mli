@@ -1,7 +1,7 @@
 (** Adaptive delegation controller.
 
     A controller thread that samples per-partition signals from a DPS
-    instance created with [~adaptive:true] — ring queue depth, remote
+    instance created with [~adaptive] — ring queue depth, remote
     traffic, issue->done latency, and the profiler's coherence-stall
     share — once per epoch, applies a hysteresis policy, and migrates
     individual partitions between delegated mode (the DPS ring protocol)

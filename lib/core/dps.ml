@@ -33,6 +33,13 @@ let failpoint_stuck_transition = ref false
    cost batching exists to amortize. *)
 let max_batch = 7
 
+(* Calibration constants (EXPERIMENTS.md): per-delegation sender-side
+   argument marshalling and server-side dispatch work, in cycles. Local
+   calls pay a quarter of the dispatch cost (§5.2's interposition overhead
+   on local operations). *)
+let marshal_cost = 100
+let dispatch_cost = 250
+
 (* One operation inside a multi-op message. An entry is *claimed* (its op
    taken) before the dispatch work is charged, so a second server never
    double-executes and a crash mid-dispatch leaves a recognisably lost
@@ -138,8 +145,8 @@ type client = {
   tid : int;  (* client slot, in [0, nclients) *)
   hw : int;
   my_pid : int;
-  mutable served : (int * int) array;
-      (* (partition never <> my_pid, ring index) — my serving share; grows
+  mutable served : int array;
+      (* ring indices in [my_pid]'s partition — my serving share; grows
          when this client adopts an exiting peer's share *)
   mutable cursor : int;  (* round-robin scan position, for serving fairness *)
   mutable cstate : cstate;
@@ -177,8 +184,6 @@ type 'a t = {
   locality_size : int;
   hash : int -> int;
   check_budget : int;
-  marshal_cost : int;
-  dispatch_cost : int;
   self_healing : bool;
   await_timeout : int;
   batch : int;
@@ -192,8 +197,9 @@ type 'a t = {
   last_served : int array;  (* per partition *)
   pending : int array;  (* per partition: sent - (served + discarded) *)
   (* the flat namespace of the paper's create(): hash(key) mod ns_sz
-     selects a bucket, whose entry names the owning partition. One charged
-     line per 8 entries; rebalancing rewrites entries. *)
+     selects a bucket, whose entry names the owning partition, with ns_sz
+     fixed at 64 buckets per partition. One charged line per 8 entries;
+     rebalancing rewrites entries. *)
   ns_table : int array;
   ns_base : int;
   mutable remaining : int;
@@ -234,7 +240,14 @@ type 'a t = {
 
 let npartitions t = Array.length t.partitions
 
-let bucket_of_key t key = abs (t.hash key) mod Array.length t.ns_table
+(* [abs min_int] is [min_int], whose remainder is negative unless the
+   table size is a power of two: fold it back into range, since keys (and
+   so hashes) can come straight off the wire. Every other hash keeps its
+   bucket. *)
+let bucket_of_key t key =
+  let n = Array.length t.ns_table in
+  let b = abs (t.hash key) mod n in
+  if b < 0 then b + n else b
 
 let partition_of_key t key =
   let b = bucket_of_key t key in
@@ -274,7 +287,6 @@ let read_version t ~key =
     t.vers.(s)
   end
 
-let version_bumps t = t.n_bumps
 let delegated_ops t = t.n_delegated
 let local_ops t = t.n_local
 let batch_flushes t = t.n_flushes
@@ -418,14 +430,14 @@ let handle_exit t sid =
       if t.remaining > 0 && not (partition_has_live_member t cl.my_pid) then
         fail_over t cl.my_pid
 
-let create sched ~nclients ~locality_size ~hash ?ns_sz ?(ring_slots = 16) ?(check_budget = 4)
-    ?(marshal_cost = 100) ?(dispatch_cost = 250) ?(dedicated_pollers = false)
-    ?(self_healing = false) ?(await_timeout = 50_000) ?(batch = 1) ?(batch_age = 1500)
-    ?(adaptive = false) ?(direct = false) ?(versions = 0) ?placement ~mk_data () =
+let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budget = 4)
+    ?(dedicated_pollers = false) ?(self_healing = false) ?(await_timeout = 50_000) ?(batch = 1)
+    ?(batch_age = 1500) ?adaptive ?(versions = 0) ?placement ~mk_data () =
   assert (nclients > 0 && locality_size > 0);
-  (* [direct] starts every partition in direct mode (the static-CNA
-     baseline); it needs the adaptive machinery even with no controller *)
-  let adaptive = adaptive || direct in
+  (* [adaptive] is every partition's starting mode; [`Direct] with no
+     controller is the static direct-locking baseline *)
+  let mode0 = match adaptive with Some `Direct -> Direct | _ -> Delegated in
+  let adaptive = adaptive <> None in
   let batch = max 1 (min batch max_batch) in
   let m = Sthread.machine sched in
   let topo = Machine.topology m in
@@ -438,7 +450,7 @@ let create sched ~nclients ~locality_size ~hash ?ns_sz ?(ring_slots = 16) ?(chec
         p
   in
   let nparts = (nclients + locality_size - 1) / locality_size in
-  let ns_sz = match ns_sz with Some n -> max n nparts | None -> 64 * nparts in
+  let ns_sz = 64 * nparts in
   let mk_partition pid =
     let node = Topology.socket_of_thread topo placement.(pid * locality_size) in
     let info = { pid; node; alloc = Alloc.create m ~cold:(Alloc.Node node) } in
@@ -493,8 +505,6 @@ let create sched ~nclients ~locality_size ~hash ?ns_sz ?(ring_slots = 16) ?(chec
       locality_size;
       hash;
       check_budget;
-      marshal_cost;
-      dispatch_cost;
       self_healing;
       await_timeout;
       batch;
@@ -522,7 +532,7 @@ let create sched ~nclients ~locality_size ~hash ?ns_sz ?(ring_slots = 16) ?(chec
       takeovers_pid = Array.make nparts 0;
       lock_breaks_pid = Array.make nparts 0;
       adaptive;
-      modes = Array.make nparts (if direct then Direct else Delegated);
+      modes = Array.make nparts mode0;
       mode_addr = Array.make nparts 0;
       dlocks = [||];
       n_direct = 0;
@@ -574,10 +584,8 @@ let attach t ~client =
   let nmembers = min t.locality_size (t.nclients - (my_pid * t.locality_size)) in
   let served =
     Array.of_list
-      (List.filter_map
-         (fun c ->
-           if c mod t.locality_size mod nmembers = my_index then Some (my_pid, c)
-           else None)
+      (List.filter
+         (fun c -> c mod t.locality_size mod nmembers = my_index)
          (List.init t.nclients Fun.id))
   in
   let cl =
@@ -636,7 +644,7 @@ let serve_slots t ~pid ring ~budget =
                    takeover of this slot after we crash mid-dispatch re-runs
                    it. Safe against double dispatch because only a dead
                    claimer's slot can be re-claimed. *)
-                Simops.work t.dispatch_cost;
+                Simops.work dispatch_cost;
                 e.eret <- op ();
                 e.edone <- true;
                 e.eop <- None;
@@ -651,7 +659,7 @@ let serve_slots t ~pid ring ~budget =
                     Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "dispatch"
                 | _ -> ());
                 (* request unmarshalling and dispatch, per operation *)
-                Simops.work t.dispatch_cost;
+                Simops.work dispatch_cost;
                 e.eret <- op ();
                 e.edone <- true;
                 incr served
@@ -746,7 +754,7 @@ let run_local t pid op =
   obs_span "dps.local" (fun () ->
       (* the runtime still interposes on local operations (§5.2 notes the
          overhead this causes for small update ratios) *)
-      Simops.work (t.dispatch_cost / 4);
+      Simops.work (dispatch_cost / 4);
       op t.partitions.(pid).data)
 
 (* Direct mode: bypass the rings and serialize on the partition's CNA
@@ -776,7 +784,7 @@ let try_run_direct t pid op =
               (fun ring ->
                 if ring.rpending > 0 then ignore (serve_ring t ~pid ring ~budget:max_int))
               t.partitions.(pid).rings;
-          Simops.work (t.dispatch_cost / 4);
+          Simops.work (dispatch_cost / 4);
           let v = op t.partitions.(pid).data in
           t.n_direct <- t.n_direct + 1;
           t.direct_pid.(pid) <- t.direct_pid.(pid) + 1;
@@ -895,7 +903,7 @@ let note_flip t pid m =
    needs no drain: a direct holder finishes its op under the lock and new
    work simply queues in the rings again. *)
 let set_mode t ~pid target =
-  if not t.adaptive then invalid_arg "Dps.set_mode: create with ~adaptive:true";
+  if not t.adaptive then invalid_arg "Dps.set_mode: create with ~adaptive";
   match (t.modes.(pid), target) with
   | (Delegated | Draining), `Direct ->
       t.modes.(pid) <- Draining;
@@ -1016,7 +1024,7 @@ and serve_as t cl ~max:budget =
   let i = ref 0 in
   let n = Array.length cl.served in
   while !served < budget && !i < n do
-    let _, ring_idx = cl.served.((cl.cursor + !i) mod n) in
+    let ring_idx = cl.served.((cl.cursor + !i) mod n) in
     served := !served + serve_ring t ~pid:cl.my_pid p.rings.(ring_idx) ~budget:(budget - !served);
     incr i
   done;
@@ -1036,7 +1044,7 @@ let flush_pending t = flush_all t (me t)
 let send_direct t cl pid fop cell =
   let slot = claim_slot t cl pid in
   (* argument marshalling into the message line *)
-  Simops.work t.marshal_cost;
+  Simops.work marshal_cost;
   let e = slot.entries.(0) in
   e.eop <- Some fop;
   e.eret <- 0;
@@ -1065,7 +1073,7 @@ let send_direct t cl pid fop cell =
 let stage_op t cl pid fop cell =
   let stage = t.stages.(cl.tid).(pid) in
   (* argument marshalling into the staging line (socket-local) *)
-  Simops.work t.marshal_cost;
+  Simops.work marshal_cost;
   Simops.write stage.saddr;
   if stage.sn = 0 then stage.sopened <- Sthread.time ();
   stage.sops.(stage.sn) <- Some fop;
@@ -1322,20 +1330,19 @@ let await t completion =
 
 let call t ~key op = await t (execute t ~key op)
 
+(* A non-delegated mode tries the direct path first and falls back to the
+   rings when the lock stays busy. *)
 let execute_async t ~key op =
   let cl = me t in
   let pid = partition_of_key t key in
   if pid = cl.my_pid then ignore (run_local t pid op)
-  else if t.adaptive then begin
-    t.remote_pid.(pid) <- t.remote_pid.(pid) + 1;
-    if current_mode t pid <> Delegated then begin
-      match try_run_direct t pid op with
-      | Some _ -> ()
-      | None -> issue t cl pid (fun () -> op t.partitions.(pid).data) None
-    end
-    else issue t cl pid (fun () -> op t.partitions.(pid).data) None
+  else begin
+    if t.adaptive then t.remote_pid.(pid) <- t.remote_pid.(pid) + 1;
+    let ran_direct =
+      t.adaptive && current_mode t pid <> Delegated && try_run_direct t pid op <> None
+    in
+    if not ran_direct then issue t cl pid (fun () -> op t.partitions.(pid).data) None
   end
-  else issue t cl pid (fun () -> op t.partitions.(pid).data) None
 
 let execute_local t ~key op =
   let pid = partition_of_key t key in
@@ -1362,20 +1369,6 @@ let execute_on t ~pid op =
            if t.dead.(pid) then first_live_pid t ~fallback:pid else pid))
 
 let call_on t ~pid op = await t (execute_on t ~pid op)
-
-let execute_async_on t ~pid op =
-  let cl = me t in
-  if pid = cl.my_pid then ignore (run_local t pid op)
-  else if t.adaptive then begin
-    t.remote_pid.(pid) <- t.remote_pid.(pid) + 1;
-    if current_mode t pid <> Delegated then begin
-      match try_run_direct t pid op with
-      | Some _ -> ()
-      | None -> issue t cl pid (fun () -> op t.partitions.(pid).data) None
-    end
-    else issue t cl pid (fun () -> op t.partitions.(pid).data) None
-  end
-  else issue t cl pid (fun () -> op t.partitions.(pid).data) None
 
 let range t op ~merge =
   let pending =

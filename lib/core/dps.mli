@@ -45,18 +45,14 @@ val create :
   nclients:int ->
   locality_size:int ->
   hash:(int -> int) ->
-  ?ns_sz:int ->
   ?ring_slots:int ->
   ?check_budget:int ->
-  ?marshal_cost:int ->
-  ?dispatch_cost:int ->
   ?dedicated_pollers:bool ->
   ?self_healing:bool ->
   ?await_timeout:int ->
   ?batch:int ->
   ?batch_age:int ->
-  ?adaptive:bool ->
-  ?direct:bool ->
+  ?adaptive:[ `Delegated | `Direct ] ->
   ?versions:int ->
   ?placement:int array ->
   mk_data:(partition_info -> 'a) ->
@@ -66,19 +62,14 @@ val create :
     instance for [nclients] client threads placed by the paper's rule and
     grouped into localities of [locality_size] hardware threads. One
     partition is created per locality via [mk_data]; [hash] maps keys into
-    the flat namespace of [ns_sz] buckets (default 64 per partition), each
-    bucket owned by a partition — the paper's [create(ds_init_fn, ds_args,
-    partition_cnt, ns_sz, hash_fn)].
+    a flat namespace of 64 buckets per partition, each bucket owned by a
+    partition — the paper's [create(ds_init_fn, ds_args, partition_cnt,
+    ns_sz, hash_fn)].
     [ring_slots] sizes each message ring (default 16); [check_budget] is
     the §4.3 knob: how many delegated requests a thread serves per check of
-    its own pending completion (default 4). [marshal_cost] (default 100)
-    and [dispatch_cost] (default 250) are the runtime's per-delegation
-    sender-side marshalling and server-side dispatch work in cycles —
-    calibration constants documented in EXPERIMENTS.md (local calls pay a
-    quarter of [dispatch_cost], matching the §5.2 remark about
-    interposition overhead on local operations). [dedicated_pollers]
-    (default false) adds the per-ring locks required to run {!run_poller}
-    threads (§4.4 liveness).
+    its own pending completion (default 4). [dedicated_pollers] (default
+    false) adds the per-ring locks required to run {!run_poller} threads
+    (§4.4 liveness).
 
     [self_healing] (default false) arms the fault-tolerant delegation
     paths (and implies the per-ring locks): a sender whose delegation
@@ -105,16 +96,16 @@ val create :
     ordering. With [batch = 1] the protocol is byte-identical to the
     unbatched one-op-per-line scheme.
 
-    [adaptive] (default false) arms per-partition mode switching (and
-    implies the per-ring locks): each partition carries a mode word that
-    remote issues re-read, and {!set_mode} migrates it online between
-    delegated mode (the ring protocol above) and {e direct} mode, where
-    remote clients bypass the rings and serialize on a per-partition
-    CNA lock ({!Dps_sync.Cna}) — the trade the paper freezes at create
-    time, made dynamic. With [adaptive = false] the protocol, address
-    layout and cycle accounting are bit-identical to previous behaviour.
-    [direct] (default false, implies [adaptive]) starts every partition in
-    direct mode — the static direct-locking baseline.
+    [adaptive] arms per-partition mode switching (and implies the per-ring
+    locks) and gives every partition's starting mode: each partition
+    carries a mode word that remote issues re-read, and {!set_mode}
+    migrates it online between delegated mode (the ring protocol above)
+    and {e direct} mode, where remote clients bypass the rings and
+    serialize on a per-partition CNA lock ({!Dps_sync.Cna}) — the trade
+    the paper freezes at create time, made dynamic. [`Direct] with no
+    controller calling {!set_mode} is the static direct-locking baseline.
+    Absent, the instance runs the static delegation protocol and allocates
+    no mode words or CNA locks.
 
     [versions] (default 0) allocates a global table of that many per-key
     version slots (8 per charged line, interleaved across the machine's
@@ -129,6 +120,9 @@ val partition_of_key : 'a t -> int -> int
 (** Charged namespace lookup: hash, bucket, owning partition. *)
 
 val bucket_of_key : 'a t -> int -> int
+(** Uncharged: [abs (hash key)] modulo the namespace size, always in range
+    (a [min_int] hash included). *)
+
 val bucket_owner : 'a t -> bucket:int -> int
 
 (** {1 Per-key versions (requires [~versions] > 0 at {!create})} *)
@@ -150,9 +144,6 @@ val read_version : 'a t -> key:int -> int
     (excluded from the race detector; see DESIGN.md §10: a reader that
     caches a value with a version observed {e before} fetching it can only
     err toward a false invalidation). [0] when versions are off. *)
-
-val version_bumps : 'a t -> int
-(** Total {!bump_version} calls that hit an armed table. *)
 
 val rebalance :
   'a t ->
@@ -238,13 +229,10 @@ val flush_pending : 'a t -> unit
 val my_partition : 'a t -> int
 (** The calling client's own partition. *)
 
-val execute_on : 'a t -> pid:int -> ('a -> int) -> completion
-(** Like {!execute}, but targeting a partition directly (used by broadcast
+val call_on : 'a t -> pid:int -> ('a -> int) -> int
+(** Like {!call}, but targeting a partition directly (used by broadcast
     patterns that pick a partition from peeked state, e.g. §3.4 stacks and
     queues). *)
-
-val call_on : 'a t -> pid:int -> ('a -> int) -> int
-val execute_async_on : 'a t -> pid:int -> ('a -> int) -> unit
 
 val run_poller : 'a t -> pid:int -> unit
 (** §4.4 liveness: body for a dedicated polling thread devoted to locality
@@ -268,7 +256,7 @@ val batch_flushes : 'a t -> int
     batch_flushes] is the achieved coalescing factor. Always 0 with
     [batch = 1] (the unbatched path does not count). *)
 
-(** {1 Adaptive delegation (requires [~adaptive:true])} *)
+(** {1 Adaptive delegation (requires [~adaptive] at {!create})} *)
 
 (** Per-partition access mode. [Draining] is the transition window of a
     [Delegated -> Direct] flip: clients already route direct while the

@@ -23,7 +23,7 @@ type counters = { cells : int array }
 let mk_counter_dps ?self_healing ?await_timeout sim ~nclients ~locality_size =
   Dps.create sim.Check.sched ~nclients ~locality_size
     ~hash:(fun k -> k)
-    ?self_healing ?await_timeout ~adaptive:true
+    ?self_healing ?await_timeout ~adaptive:`Delegated
     ~mk_data:(fun (_ : Dps.partition_info) -> { cells = Array.make 32 0 })
     ()
 
@@ -226,6 +226,61 @@ let adapt_controller_scenario ctl =
         if to_direct = 0 then Some "controller never sent an idle partition direct"
         else None)
 
+(* --- starting modes --- *)
+
+let mk_static_sched () =
+  Sthread.create (Dps_machine.Machine.create Dps_machine.Machine.config_default)
+
+(* [~adaptive:`Direct] with no controller is the static direct-locking
+   baseline: every partition starts (and stays) direct, so synchronous
+   remote calls never touch a ring. *)
+let test_start_direct () =
+  let sched = mk_static_sched () in
+  let nclients = 20 and per = 10 in
+  let dps =
+    Dps.create sched ~nclients ~locality_size:10
+      ~hash:(fun k -> k)
+      ~adaptive:`Direct
+      ~mk_data:(fun (_ : Dps.partition_info) -> { cells = Array.make 32 0 })
+      ()
+  in
+  for pid = 0 to Dps.npartitions dps - 1 do
+    Alcotest.(check bool) (Printf.sprintf "p%d starts direct" pid) true
+      (Dps.mode dps ~pid = Dps.Direct)
+  done;
+  for c = 0 to nclients - 1 do
+    Sthread.spawn sched ~hw:(Dps.client_hw dps c) (fun () ->
+        Dps.attach dps ~client:c;
+        for i = 1 to per do
+          ignore
+            (Dps.call dps ~key:i (fun d ->
+                 d.cells.(c) <- d.cells.(c) + 1;
+                 0))
+        done;
+        Dps.client_done dps;
+        Dps.drain dps)
+  done;
+  Sthread.run sched;
+  for c = 0 to nclients - 1 do
+    Alcotest.(check int) (Printf.sprintf "client %d applied" c) per (applied dps c)
+  done;
+  Alcotest.(check bool) "remote ops ran direct" true (Dps.direct_ops dps > 0);
+  Alcotest.(check int) "nothing delegated" 0 (Dps.delegated_ops dps);
+  Alcotest.(check (pair int int)) "no flips" (0, 0) (Dps.mode_flips dps)
+
+let test_set_mode_static_rejected () =
+  let dps =
+    Dps.create (mk_static_sched ()) ~nclients:20 ~locality_size:10
+      ~hash:(fun k -> k)
+      ~mk_data:(fun (_ : Dps.partition_info) -> ())
+      ()
+  in
+  Alcotest.(check bool) "static instance stays delegated" true
+    (Dps.mode dps ~pid:1 = Dps.Delegated);
+  match Dps.set_mode dps ~pid:1 `Direct with
+  | () -> Alcotest.fail "set_mode accepted a static instance"
+  | exception Invalid_argument _ -> ()
+
 (* --- CNA: the direct mode's lock, under explored schedules --- *)
 
 (* Mutual exclusion with the race detector armed: the critical section
@@ -324,6 +379,8 @@ let suite =
     ("mutation: stuck transition caught", `Quick, test_mutation_stuck_transition);
     ("controller flips idle partitions direct", `Quick,
      sweep_simple "adapt_controller" adapt_controller_scenario);
+    ("adaptive `Direct starts every partition direct", `Quick, test_start_direct);
+    ("set_mode on a static instance rejected", `Quick, test_set_mode_static_rejected);
     ("cna mutual exclusion under schedules", `Quick,
      sweep_simple "cna_mutex" cna_mutex_scenario);
     ("cna try_acquire contract", `Quick, sweep_simple "cna_try" cna_try_scenario);

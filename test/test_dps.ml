@@ -229,12 +229,12 @@ let test_rebalance_moves_bucket () =
   let module H = Dps_ds.Hashtable in
   let sched = mk_sched () in
   let dps =
-    Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id ~ns_sz:32
+    Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id
       ~mk_data:(fun (info : Dps.partition_info) -> H.create info.Dps.alloc)
       ()
   in
-  let keys = [ 3; 35; 67; 99 ] in
-  (* all in bucket 3 (key mod 32) *)
+  let keys = [ 3; 131; 259; 387 ] in
+  (* all in bucket 3 (key mod 128: 64 buckets for each of 2 partitions) *)
   let bucket = 3 in
   let moved_ok = ref false in
   for c = 0 to 19 do
@@ -278,6 +278,21 @@ let test_rebalance_moves_bucket () =
   Sthread.run sched;
   Alcotest.(check bool) "bucket moved with its keys" true !moved_ok
 
+(* A wire key parses to any int, [min_int] included, and [abs min_int] is
+   negative: its bucket must still land inside the 3 x 64-bucket namespace
+   (192 is not a power of two), while every other hash keeps [abs h mod n]. *)
+let test_min_int_hash_bucket () =
+  let sched = mk_sched () in
+  let dps = mk_dps ~nclients:30 sched in
+  Alcotest.(check int) "3 partitions" 3 (Dps.npartitions dps);
+  let b = Dps.bucket_of_key dps min_int in
+  Alcotest.(check bool) "min_int bucket in range" true (b >= 0 && b < 192);
+  let p = Dps.partition_of_key dps min_int in
+  Alcotest.(check bool) "min_int owner in range" true (p >= 0 && p < 3);
+  List.iter
+    (fun k -> Alcotest.(check int) (string_of_int k) (abs k mod 192) (Dps.bucket_of_key dps k))
+    [ 0; 5; -5; 200; -200; max_int; min_int + 1 ]
+
 (* §3.3: "a thread that writes two values will see (read) those writes in
    order" — monotonic writes through one FIFO ring. *)
 let test_monotonic_writes () =
@@ -302,6 +317,7 @@ let suite =
     ("partition mapping", `Quick, test_partition_mapping);
     ("monotonic writes", `Quick, test_monotonic_writes);
     ("rebalance moves bucket", `Quick, test_rebalance_moves_bucket);
+    ("min_int hash bucket", `Quick, test_min_int_hash_bucket);
     ("local execution", `Quick, test_local_execution);
     ("delegation runs remotely", `Quick, test_delegated_execution_runs_remotely);
     ("call returns value", `Quick, test_call_returns_value);

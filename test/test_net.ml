@@ -431,6 +431,50 @@ let test_server_end_to_end () =
   Alcotest.(check int) "hits" 4 st.Server.hits;
   Alcotest.(check bool) "pollers parked while idle" true (st.Server.parks > 0)
 
+(* Wire keys are parsed with [int_of_string_opt], so a client can send the
+   key whose hash is [min_int]; on a 3-partition DPS backend its namespace
+   bucket must stay in range and the request must be answered. *)
+let test_server_min_int_key () =
+  let s = mk () in
+  let net = Net.create s () in
+  let backend =
+    Variants.dps_parsec s ~nclients:30 ~locality_size:10 ~buckets:192 ~capacity:384 ()
+  in
+  let srv = Server.start s net ~backend { Server.default_config with npollers = 30 } in
+  let dec = Wire.decoder () in
+  let responses = ref [] in
+  let c =
+    Net.connect net ~nic:0
+      ~rx:(fun data ->
+        Wire.feed dec data;
+        let rec drain () =
+          match Wire.next_response dec with
+          | Wire.Item r ->
+              responses := r :: !responses;
+              drain ()
+          | Wire.Need_more | Wire.Bad _ -> ()
+        in
+        drain ())
+      ()
+  in
+  let key = string_of_int min_int in
+  let b = Buffer.create 128 in
+  Wire.encode_request b (Wire.Get [ key ]);
+  Wire.encode_request b
+    (Wire.Set { key; flags = 0; exptime = 0; data = String.make 64 'v'; noreply = false });
+  Net.send net c (Buffer.contents b);
+  Sthread.at s ~time:200_000 (fun () -> Server.stop srv);
+  Sthread.run s;
+  let shape =
+    List.rev_map
+      (function
+        | Wire.Values vs -> Printf.sprintf "values:%d" (List.length vs)
+        | Wire.Stored -> "stored"
+        | _ -> "other")
+      !responses
+  in
+  Alcotest.(check (list string)) "END then STORED" [ "values:0"; "stored" ] shape
+
 let test_server_connection_limit () =
   let s = mk () in
   let net = Net.create s () in
@@ -578,6 +622,7 @@ let suite =
     ("locality tally", `Quick, test_locality_tally);
     ("refusal and unlisten", `Quick, test_refusal);
     ("server end to end", `Quick, test_server_end_to_end);
+    ("server min_int key", `Quick, test_server_min_int_key);
     ("server connection limit", `Quick, test_server_connection_limit);
     ("connection churn soak", `Quick, test_connection_churn_soak);
     ("DPS fleet deterministic", `Quick, test_fleet_dps_deterministic);
