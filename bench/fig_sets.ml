@@ -111,6 +111,14 @@ let fig9_panel ~title w_of =
   let rec print2 labels = function
     | orig :: dps :: rest ->
         let label = List.hd labels in
+        List.iter
+          (fun (series, r) ->
+            json_record ~series ~x:label
+              [
+                ("throughput_mops", r.Driver.throughput_mops);
+                ("llc_misses_per_op", r.Driver.llc_misses_per_op);
+              ])
+          [ ("orig", orig); ("DPS", dps) ];
         Printf.printf "%-10s %12.3f %12.3f %7.1fx\n%!" label orig.Driver.throughput_mops
           dps.Driver.throughput_mops
           (dps.Driver.throughput_mops /. max 1e-9 orig.Driver.throughput_mops);

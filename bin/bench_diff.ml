@@ -3,7 +3,7 @@
    The CI bench-regress job runs the quick bench suite, then:
 
      bench_diff --baseline-dir bench/baselines --fresh-dir . \
-       --names fig6a,table1,batch --tolerance 0.10 --report diff.md
+       --names fig6a,fig9,batch --tolerance 0.10 --report diff.md
 
    Exit status 1 when any compared file has a hard failure (throughput
    drop beyond tolerance, or a determinism mismatch in the point set);
@@ -31,7 +31,7 @@ let () =
       ("--report", Arg.Set_string report_path, "FILE write a markdown report here");
     ]
   in
-  let usage = "bench_diff --names fig6a,table1 [options]" in
+  let usage = "bench_diff --names fig6a,fig9 [options]" in
   Arg.parse specs (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
   if !names = [] then begin
     prerr_endline "bench_diff: --names is required";

@@ -1,5 +1,4 @@
 module Prng = Dps_simcore.Prng
-module Bitset = Dps_simcore.Bitset
 module Stats = Dps_simcore.Stats
 
 type kind = Read | Write | Rmw
@@ -30,24 +29,61 @@ let config_scaled ?(factor = 16) () =
     tlb_entries = max 16 (config_default.tlb_entries / factor);
   }
 
-(* [wbusy]: the simulated time until which the line's ownership is in
-   transit. Writes from different cores must acquire ownership serially —
-   a single hot line is a global serialization point, which is precisely
-   the contention collapse of §2 — while reads of a shared line replicate
-   and serve in parallel. *)
-type line = {
-  home : int;
-  mutable owner : int;
-  sharers : Bitset.t;
-  mutable wbusy : int;
-  mutable dirty : bool;  (* modified relative to DRAM: an eviction writes back *)
+(* Sharer sets, packed [words ncores] ints per line into one flat array:
+   core [c] is bit [c mod 63] of word [base + c / 63]. Plain functions over
+   the array and a line's base index, so a set is no record of its own. *)
+module Sharers = struct
+  let words ncores = (ncores + 62) / 63
+
+  let mem w base i = w.(base + (i / 63)) land (1 lsl (i mod 63)) <> 0
+
+  let add w base i =
+    let j = base + (i / 63) in
+    w.(j) <- w.(j) lor (1 lsl (i mod 63))
+
+  let remove w base i =
+    let j = base + (i / 63) in
+    w.(j) <- w.(j) land lnot (1 lsl (i mod 63))
+
+  let clear w base n =
+    for j = base to base + n - 1 do
+      w.(j) <- 0
+    done
+
+  let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1)
+
+  (* Top-level (not a local closure) so [next] allocates nothing. *)
+  let rec scan w base n k bits =
+    if bits <> 0 then (k * 63) + log2 (bits land -bits) 0
+    else if k + 1 < n then scan w base n (k + 1) w.(base + k + 1)
+    else -1
+
+  let next w base n i =
+    if i >= n * 63 then -1
+    else
+      let k = i / 63 in
+      scan w base n k (w.(base + k) land (-1 lsl (i mod 63)))
+end
+
+(* Directory state of [page_lines] consecutive lines, one flat array per
+   field, indexed by line address [land page_mask]. *)
+type page = {
+  meta : Bytes.t;
+    (* home node lsl 1, lor 1 when dirty: modified relative to DRAM, so an
+       LLC eviction writes it back *)
+  owner : Bytes.t;  (* the core holding the line modified, [no_owner] if none *)
+  sharers : int array;  (* [sw] words per line, see {!Sharers} *)
+  wbusy : int array;
+    (* The simulated time until which the line's ownership is in transit.
+       Writes from different cores must acquire ownership serially — a
+       single hot line is a global serialization point, which is precisely
+       the contention collapse of §2 — while reads of a shared line
+       replicate and serve in parallel. *)
 }
 
-type region = { base : int; nlines : int; pol : policy }
-
-(* Placeholder for never-touched entries of the dense directory; compared
-   physically, never read. *)
-let no_line = { home = -1; owner = -1; sharers = Bitset.create 0; wbusy = 0; dirty = false }
+let page_bits = 12
+let page_lines = 1 lsl page_bits
+let page_mask = page_lines - 1
 
 (* Bandwidth state, present only when [costs.bw] enables modeling: one
    token bucket per socket memory controller and one per interconnect
@@ -108,24 +144,29 @@ type t = {
   priv : Cachebox.t array;  (* per physical core *)
   tlb : Cachebox.t array;  (* per physical core, in pages *)
   llc : Cachebox.t array;  (* per socket *)
-  mutable lines : line array;
-    (* The coherence directory, keyed directly by line index. [alloc] hands
-       out addresses densely from 0, so the directory is a flat array grown
-       alongside [next_addr] — one load per lookup where the previous
-       [Hashtbl] hashed and chased buckets on every access. Entries
-       materialize lazily on first touch, exactly as the hash table did. *)
+  mutable pages : page array;
+    (* The coherence directory, indexed by line address: [alloc] hands out
+       addresses densely from 0 and adds pages as it reaches them, writing
+       each line's home as it goes, so a first touch allocates nothing.
+       Pages never move: growing copies only this table, where one array
+       per field grown by copying made allocating thousands of connection
+       rings several times dearer than the lazy directory it replaced. *)
+  sw : int;  (* sharer words per line *)
   dram_busy : int array;  (* per NUMA node: memory-controller occupancy *)
   bw : bwstate option;  (* bandwidth buckets; None = modeling off (bw:0) *)
-  mutable regions : region array;
-  mutable nregions : int;
   mutable next_addr : int;
   ctr : counters;
   active : bool array;
 }
 
+let no_owner = 255
+
 let create ?(seed = 42L) cfg =
   let root = Prng.create seed in
   let topo = cfg.topo in
+  (* a core number fits the owner byte, a node the 7 home bits *)
+  assert (Topology.ncores topo < no_owner && topo.Topology.sockets <= 128);
+  let sw = Sharers.words (Topology.ncores topo) in
   {
     cfg;
     priv =
@@ -137,7 +178,8 @@ let create ?(seed = 42L) cfg =
     llc =
       Array.init topo.Topology.sockets (fun _ ->
           Cachebox.create ~capacity:cfg.llc_lines (Prng.split root));
-    lines = Array.make 65536 no_line;
+    pages = [||];
+    sw;
     dram_busy = Array.make topo.Topology.sockets 0;
     bw =
       (let b = cfg.costs.Costs.bw in
@@ -153,8 +195,6 @@ let create ?(seed = 42L) cfg =
                    Bwbucket.create ~rate:b.Costs.link_bytes_per_cycle ~burst:b.Costs.link_burst);
              last_delay = 0;
            });
-    regions = Array.make 16 { base = 0; nlines = 0; pol = Interleave };
-    nregions = 0;
     next_addr = 0;
     ctr =
       {
@@ -190,82 +230,68 @@ let stats t =
     (core_counters @ bw_counters);
   s
 
+(* Page [k], lines [k * page_lines] onwards; pages are added in order. *)
+let add_page t k =
+  let p =
+    {
+      meta = Bytes.make page_lines '\000';
+      owner = Bytes.make page_lines (Char.chr no_owner);
+      sharers = Array.make (page_lines * t.sw) 0;
+      wbusy = Array.make page_lines 0;
+    }
+  in
+  if k = Array.length t.pages then begin
+    let bigger = Array.make (max 16 (2 * k)) p in
+    Array.blit t.pages 0 bigger 0 k;
+    t.pages <- bigger
+  end;
+  t.pages.(k) <- p
+
 let alloc t pol ~lines =
   assert (lines > 0);
   let base = t.next_addr in
+  let sockets = t.cfg.topo.Topology.sockets in
+  (match pol with On_node n -> assert (n >= 0 && n < sockets) | Interleave -> ());
   t.next_addr <- base + lines;
-  if t.next_addr > Array.length t.lines then begin
-    let cap = max t.next_addr (2 * Array.length t.lines) in
-    let bigger = Array.make cap no_line in
-    Array.blit t.lines 0 bigger 0 (Array.length t.lines);
-    t.lines <- bigger
-  end;
-  if t.nregions = Array.length t.regions then begin
-    let bigger = Array.make (2 * t.nregions) t.regions.(0) in
-    Array.blit t.regions 0 bigger 0 t.nregions;
-    t.regions <- bigger
-  end;
-  t.regions.(t.nregions) <- { base; nlines = lines; pol };
-  t.nregions <- t.nregions + 1;
+  for k = (base + page_mask) lsr page_bits to (t.next_addr - 1) lsr page_bits do
+    add_page t k
+  done;
+  for i = 0 to lines - 1 do
+    let home = match pol with On_node n -> n | Interleave -> i mod sockets in
+    let a = base + i in
+    Bytes.set_uint8 t.pages.(a lsr page_bits).meta (a land page_mask) (home lsl 1)
+  done;
   base
 
-let region_of t addr =
-  (* Regions have strictly increasing bases: binary search. *)
-  let lo = ref 0 and hi = ref (t.nregions - 1) in
-  let found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let r = t.regions.(mid) in
-    if addr < r.base then hi := mid - 1
-    else if addr >= r.base + r.nlines then lo := mid + 1
-    else begin
-      found := Some r;
-      lo := !hi + 1
-    end
-  done;
-  match !found with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Machine: access to unallocated address %d" addr)
-
-let compute_home t addr =
-  let r = region_of t addr in
-  match r.pol with
-  | On_node n ->
-      assert (n >= 0 && n < t.cfg.topo.Topology.sockets);
-      n
-  | Interleave -> (addr - r.base) mod t.cfg.topo.Topology.sockets
-
-let line_of t addr =
+let check_addr t addr =
   if addr < 0 || addr >= t.next_addr then
-    invalid_arg (Printf.sprintf "Machine: access to unallocated address %d" addr);
-  let l = t.lines.(addr) in
-  if l != no_line then l
-  else begin
-    let l =
-      {
-        home = compute_home t addr;
-        owner = -1;
-        sharers = Bitset.create (Topology.ncores t.cfg.topo);
-        wbusy = 0;
-        dirty = false;
-      }
-    in
-    t.lines.(addr) <- l;
-    l
-  end
+    invalid_arg (Printf.sprintf "Machine: access to unallocated address %d" addr)
 
-let home_of t addr = (line_of t addr).home
+let page t addr = t.pages.(addr lsr page_bits)
+let home t addr = Bytes.get_uint8 (page t addr).meta (addr land page_mask) lsr 1
+let dirty t addr = Bytes.get_uint8 (page t addr).meta (addr land page_mask) land 1 <> 0
+
+let set_dirty t addr d =
+  Bytes.set_uint8 (page t addr).meta (addr land page_mask)
+    ((home t addr lsl 1) lor if d then 1 else 0)
+
+let owner t addr = Bytes.get_uint8 (page t addr).owner (addr land page_mask)
+let set_owner t addr c = Bytes.set_uint8 (page t addr).owner (addr land page_mask) c
+
+(* The line's sharer words: index [sharer_base t addr] of [(page t addr).sharers]. *)
+let sharer_base t addr = (addr land page_mask) * t.sw
+
+let home_of t addr =
+  check_addr t addr;
+  home t addr
 
 (* A line falling out of a private cache loses its coherence permissions:
    dirty data is considered written back to the socket LLC. *)
 let priv_insert t core addr =
   let victim = Cachebox.add t.priv.(core) addr in
   if victim >= 0 then begin
-    let l = t.lines.(victim) in
-    if l != no_line then begin
-      Bitset.remove l.sharers core;
-      if l.owner = core then l.owner <- -1
-    end
+    Sharers.remove (page t victim).sharers (sharer_base t victim) core;
+    if owner t victim = core then set_owner t victim no_owner
   end
 
 let line_bytes = 64
@@ -283,15 +309,15 @@ let llc_insert t ~now sock addr =
     match t.bw with
     | None -> ()
     | Some st ->
-        let l = t.lines.(victim) in
-        if l != no_line && l.dirty then begin
-          l.dirty <- false;
+        if dirty t victim then begin
+          set_dirty t victim false;
+          let home = home t victim in
           t.ctr.bw_writebacks <- t.ctr.bw_writebacks + 1;
-          ignore (Bwbucket.charge st.mc.(l.home) ~now ~bytes:line_bytes);
-          if l.home <> sock then
+          ignore (Bwbucket.charge st.mc.(home) ~now ~bytes:line_bytes);
+          if home <> sock then
             ignore
               (Bwbucket.charge
-                 st.link.(Topology.link_index t.cfg.topo ~src:sock ~dst:l.home)
+                 st.link.(Topology.link_index t.cfg.topo ~src:sock ~dst:home)
                  ~now ~bytes:line_bytes)
         end
 
@@ -312,15 +338,16 @@ let src_dram = -2 (* DRAM on this socket *)
 let src_remote_dram = -3 (* DRAM on another socket *)
 let src_upgrade = -4 (* a write to a line this core already shares *)
 
-let fetch_source t line ~core ~sock ~addr =
-  if line.owner >= 0 && line.owner <> core then begin
-    let owner_sock = Topology.socket_of_core t.cfg.topo line.owner in
+let fetch_source t ~core ~sock ~addr =
+  let o = owner t addr in
+  if o <> no_owner && o <> core then begin
+    let owner_sock = Topology.socket_of_core t.cfg.topo o in
     if owner_sock = sock then src_llc else owner_sock
   end
   else if Cachebox.mem t.llc.(sock) addr then src_llc
   else begin
     let src = llc_socket_elsewhere t sock addr in
-    if src >= 0 then src else if line.home = sock then src_dram else src_remote_dram
+    if src >= 0 then src else if home t addr = sock then src_dram else src_remote_dram
   end
 
 let fetch_cost c src =
@@ -368,13 +395,12 @@ let charge_link t st ~now ~src ~dst =
    transfers hit the link from the source socket, remote DRAM fills hit
    both (overlapped, so the delay is the max). Returns the queueing delay
    and accumulates it in [last_delay] for {!access_mlp}. *)
-let bw_fill t st ~now ~sock line src =
+let bw_fill t st ~now ~sock addr src =
   let d =
-    if src = src_dram then charge_mc t st ~now ~bytes:line_bytes line.home
+    if src = src_dram then charge_mc t st ~now ~bytes:line_bytes (home t addr)
     else if src = src_remote_dram then
-      max
-        (charge_mc t st ~now ~bytes:line_bytes line.home)
-        (charge_link t st ~now ~src:line.home ~dst:sock)
+      let home = home t addr in
+      max (charge_mc t st ~now ~bytes:line_bytes home) (charge_link t st ~now ~src:home ~dst:sock)
     else if src >= 0 then charge_link t st ~now ~src ~dst:sock
     else 0
   in
@@ -383,76 +409,81 @@ let bw_fill t st ~now ~sock line src =
 
 (* The fill's queueing delay: the DRAM service queue with bandwidth
    modeling off, the token buckets with it on. *)
-let fill_delay t ~now ~sock line src =
+let fill_delay t ~now ~sock addr src =
   match t.bw with
-  | None -> if src = src_dram || src = src_remote_dram then dram_queue t ~now line.home else 0
-  | Some st -> bw_fill t st ~now ~sock line src
+  | None -> if src = src_dram || src = src_remote_dram then dram_queue t ~now (home t addr) else 0
+  | Some st -> bw_fill t st ~now ~sock addr src
 
-let invalidation_cost t line ~core ~sock =
+let invalidation_cost t ~core ~sock ~addr =
   let c = t.cfg.costs in
   let topo = t.cfg.topo in
+  let w = (page t addr).sharers and base = sharer_base t addr and o = owner t addr in
   let remote = ref false and local = ref false in
-  let s = ref (Bitset.next line.sharers 0) in
+  let s = ref (Sharers.next w base t.sw 0) in
   while !s >= 0 do
-    if !s <> core && !s <> line.owner then
+    if !s <> core && !s <> o then
       if Topology.socket_of_core topo !s = sock then local := true else remote := true;
-    s := Bitset.next line.sharers (!s + 1)
+    s := Sharers.next w base t.sw (!s + 1)
   done;
   if !remote then c.Costs.inval_remote else if !local then c.Costs.inval_local else 0
 
-let do_invalidate t line ~core ~sock ~addr =
-  let s = ref (Bitset.next line.sharers 0) in
+let do_invalidate t ~core ~sock ~addr =
+  let w = (page t addr).sharers and base = sharer_base t addr and o = owner t addr in
+  let s = ref (Sharers.next w base t.sw 0) in
   while !s >= 0 do
     if !s <> core then Cachebox.remove t.priv.(!s) addr;
-    s := Bitset.next line.sharers (!s + 1)
+    s := Sharers.next w base t.sw (!s + 1)
   done;
-  if line.owner >= 0 && line.owner <> core then Cachebox.remove t.priv.(line.owner) addr;
+  if o <> no_owner && o <> core then Cachebox.remove t.priv.(o) addr;
   for s = 0 to Array.length t.llc - 1 do
     if s <> sock then Cachebox.remove t.llc.(s) addr
   done;
-  Bitset.clear line.sharers;
-  Bitset.add line.sharers core;
-  line.owner <- core;
-  line.dirty <- true
+  Sharers.clear w base t.sw;
+  Sharers.add w base core;
+  set_owner t addr core;
+  set_dirty t addr true
 
 (* Address translation: the page walk reads page tables homed where the
    page lives, so pointer chases over big remote working sets pay remote
    walks — part of the NUMA penalty DPS's partitioning removes. *)
-let tlb_cost t ~core ~sock line addr =
+let tlb_cost t ~core ~sock addr =
   let page = addr lsr 6 in
   if Cachebox.mem t.tlb.(core) page then 0
   else begin
     t.ctr.tlb_misses <- t.ctr.tlb_misses + 1;
     ignore (Cachebox.add t.tlb.(core) page);
-    if line.home = sock then t.cfg.costs.Costs.walk_local else t.cfg.costs.Costs.walk_remote
+    if home t addr = sock then t.cfg.costs.Costs.walk_local else t.cfg.costs.Costs.walk_remote
   end
 
 let access_slow t ~now ~core ~addr ~kind =
   let topo = t.cfg.topo in
   let sock = Topology.socket_of_core topo core in
-  let line = line_of t addr in
+  check_addr t addr;
+  let p = page t addr and i = addr land page_mask in
+  let base = i * t.sw in
   let c = t.cfg.costs in
   let ctr = t.ctr in
   ctr.accesses <- ctr.accesses + 1;
-  let translation = tlb_cost t ~core ~sock line addr in
+  let translation = tlb_cost t ~core ~sock addr in
   let present = Cachebox.mem t.priv.(core) addr in
   match kind with
   | Read ->
-      if present && (line.owner = core || Bitset.mem line.sharers core) then begin
+      if present && (owner t addr = core || Sharers.mem p.sharers base core) then begin
         ctr.priv_hits <- ctr.priv_hits + 1;
         translation + c.Costs.priv_hit
       end
       else begin
-        let src = fetch_source t line ~core ~sock ~addr in
+        let src = fetch_source t ~core ~sock ~addr in
         let cost = fetch_cost c src in
         count_fetch t src;
-        let bw = fill_delay t ~now ~sock line src in
-        if line.owner >= 0 && line.owner <> core then begin
+        let bw = fill_delay t ~now ~sock addr src in
+        let o = owner t addr in
+        if o <> no_owner && o <> core then begin
           (* Dirty remote copy becomes shared. *)
-          Bitset.add line.sharers line.owner;
-          line.owner <- -1
+          Sharers.add p.sharers base o;
+          set_owner t addr no_owner
         end;
-        Bitset.add line.sharers core;
+        Sharers.add p.sharers base core;
         priv_insert t core addr;
         llc_insert t ~now sock addr;
         if bw > 0 && Dps_obs.Obs.profiling_on () then begin
@@ -464,29 +495,30 @@ let access_slow t ~now ~core ~addr ~kind =
       end
   | Write | Rmw ->
       let extra = if kind = Rmw then c.Costs.rmw_extra else 0 in
-      if present && line.owner = core then begin
+      if present && owner t addr = core then begin
         ctr.priv_hits <- ctr.priv_hits + 1;
         translation + c.Costs.priv_hit + extra
       end
       else begin
         let src =
-          if present && Bitset.mem line.sharers core then src_upgrade
-          else fetch_source t line ~core ~sock ~addr
+          if present && Sharers.mem p.sharers base core then src_upgrade
+          else fetch_source t ~core ~sock ~addr
         in
         let fetch = fetch_cost c src in
         count_fetch t src;
-        let bw = fill_delay t ~now ~sock line src in
-        let inval = invalidation_cost t line ~core ~sock in
+        let bw = fill_delay t ~now ~sock addr src in
+        let inval = invalidation_cost t ~core ~sock ~addr in
         if inval > 0 then ctr.invalidations <- ctr.invalidations + 1;
-        do_invalidate t line ~core ~sock ~addr;
+        do_invalidate t ~core ~sock ~addr;
         priv_insert t core addr;
         llc_insert t ~now sock addr;
         (* Ownership transfers of one line serialize: queue behind any
            transfer still in flight. *)
         let transfer = fetch + inval + extra in
-        let queue = max 0 (line.wbusy - now) in
+        let wbusy = p.wbusy.(i) in
+        let queue = max 0 (wbusy - now) in
         if queue > 0 then ctr.write_queueing <- ctr.write_queueing + 1;
-        line.wbusy <- max now line.wbusy + transfer;
+        p.wbusy.(i) <- max now wbusy + transfer;
         if Dps_obs.Obs.profiling_on () then begin
           match t.bw with
           | None -> if bw + queue > 0 then Dps_obs.Obs.note_stall (bw + queue)

@@ -38,7 +38,10 @@ val config : t -> config
 
 val alloc : t -> policy -> lines:int -> int
 (** Allocate a region of [lines] cache lines; returns the base address.
-    Line metadata is materialised lazily, so huge sparse regions are cheap. *)
+    Every line's directory state (home node and dirty bit, owner, sharer
+    words, ownership-transfer time) is set up here, in per-field arrays of
+    4096-line pages: 18 bytes a line on machines of up to 63 cores, 8 more
+    per further 63 cores. A region is paid for in full when allocated. *)
 
 val access : t -> now:int -> thread:int -> addr:int -> kind:kind -> int
 (** [access t ~now ~thread ~addr ~kind] performs one access by hardware
@@ -86,6 +89,25 @@ val work_cost : t -> thread:int -> int -> int
 val set_active : t -> thread:int -> bool -> unit
 val home_of : t -> int -> int
 (** NUMA node a line is homed on (for tests). *)
+
+(** The directory's sharer sets (exposed for tests): a set over [n] cores
+    is [words n] ints at index [base] of a flat array, core [c] being bit
+    [c mod 63] of word [base + c / 63]. *)
+module Sharers : sig
+  val words : int -> int
+  val mem : int array -> int -> int -> bool
+  val add : int array -> int -> int -> unit
+  val remove : int array -> int -> int -> unit
+
+  val clear : int array -> int -> int -> unit
+  (** [clear w base nwords] empties the set. *)
+
+  val next : int array -> int -> int -> int -> int
+  (** [next w base nwords i] is the smallest member [>= i], or [-1] if there
+      is none (also when [i >= 63 * nwords]). Allocation-free: walk a set
+      with [let s = ref (next w base nw 0) in while !s >= 0 do ...;
+      s := next w base nw (!s + 1) done]. *)
+end
 
 val stats : t -> Dps_simcore.Stats.t
 (** A point-in-time snapshot of the model's counters, built fresh on every

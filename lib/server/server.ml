@@ -111,6 +111,27 @@ let enqueue t p sc =
     wake_poller t p
   end
 
+exception Bad_key
+
+(* A wire key as an int: canonical decimal only, an optional '-' then
+   digits with no leading zero and no "-0", within [min_int, max_int].
+   [int_of_string] also accepts '_', '+' and 0x/0o/0b/0u prefixes, which
+   would alias distinct keys ("10", "1_0", "0xa") to one item. Digits
+   accumulate negatively so [min_int] parses; raises [Bad_key] and
+   allocates nothing. *)
+let parse_key s =
+  let n = String.length s in
+  let neg = n > 1 && s.[0] = '-' in
+  let i0 = if neg then 1 else 0 in
+  if n = i0 || (s.[i0] = '0' && (neg || n > 1)) then raise Bad_key;
+  let acc = ref 0 in
+  for i = i0 to n - 1 do
+    let d = Char.code s.[i] - 48 in
+    if d < 0 || d > 9 || !acc < (min_int + d) / 10 then raise Bad_key;
+    acc := (!acc * 10) - d
+  done;
+  if neg then !acc else if !acc = min_int then raise Bad_key else - !acc
+
 (* Route one parsed request into the backend and append its response. *)
 let handle t p req =
   let out r = Wire.encode_response p.out r in
@@ -121,9 +142,9 @@ let handle t p req =
       let vs =
         List.filter_map
           (fun k ->
-            match int_of_string_opt k with
-            | None -> None
-            | Some key ->
+            match parse_key k with
+            | exception Bad_key -> None
+            | key ->
                 t.st.lookups <- t.st.lookups + 1;
                 let found =
                   match p.fc with
@@ -140,8 +161,8 @@ let handle t p req =
       in
       out (Wire.Values vs)
   | Wire.Set { key; data; noreply; flags; _ } -> (
-      match int_of_string_opt key with
-      | Some key ->
+      match parse_key key with
+      | key ->
           t.st.sets <- t.st.sets + 1;
           let val_lines = max 1 ((String.length data + 63) / 64) in
           (* drop our own cached entry before forwarding: the delegated
@@ -154,17 +175,17 @@ let handle t p req =
           | Some set_tagged -> set_tagged ~key ~val_lines ~tag:flags
           | None -> t.backend.Variants.set ~key ~val_lines);
           if not noreply then out Wire.Stored
-      | None ->
+      | exception Bad_key ->
           t.st.bad_requests <- t.st.bad_requests + 1;
           if not noreply then out (Wire.Client_error "bad key"))
   | Wire.Delete { key; noreply } -> (
-      match int_of_string_opt key with
-      | Some key ->
+      match parse_key key with
+      | key ->
           t.st.dels <- t.st.dels + 1;
           (match p.fc with Some fc -> Frontcache.invalidate fc key | None -> ());
           let found = t.backend.Variants.del key in
           if not noreply then out (if found then Wire.Deleted else Wire.Not_found)
-      | None ->
+      | exception Bad_key ->
           t.st.bad_requests <- t.st.bad_requests + 1;
           if not noreply then out (Wire.Client_error "bad key"))
 

@@ -349,6 +349,69 @@ let test_misses_allocation_free () =
         (Stats.get (Machine.stats m) "invalidations" - inval0 >= 10_000))
     [ ("bw off", Costs.default); ("bw on", { Costs.default with Costs.bw = Costs.bw_default }) ]
 
+(* Lines never touched before: the directory state of every line is
+   written by [alloc], so a first read or write allocates no more than a
+   repeat miss does. *)
+let test_first_touch_allocation_free () =
+  List.iter
+    (fun (label, costs) ->
+      let m = Machine.create { (Machine.config_scaled ()) with Machine.costs } in
+      let lines = 4096 in
+      let a = Machine.alloc m Machine.Interleave ~lines in
+      let b = Machine.alloc m (Machine.On_node 2) ~lines in
+      let w =
+        minor_words_during (fun () ->
+            for i = 0 to lines - 1 do
+              ignore (Machine.access m ~now:i ~thread:0 ~addr:(a + i) ~kind:Machine.Read);
+              ignore (Machine.access m ~now:i ~thread:20 ~addr:(b + i) ~kind:Machine.Write)
+            done)
+      in
+      Alcotest.(check int) (label ^ ": minor words over 8k first touches") 0 w;
+      Alcotest.(check int) (label ^ ": every first touch missed") (2 * lines) (slow_path_count m))
+    [ ("bw off", Costs.default); ("bw on", { Costs.default with Costs.bw = Costs.bw_default }) ]
+
+(* Directory state set before the directory grows survives the growth:
+   homes of mixed regions on both sides of every growth, the owner and
+   the sharers of lines touched before it. *)
+let test_directory_growth () =
+  let m = mk_machine () in
+  let costs = (Machine.config m).Machine.costs in
+  let owned = Machine.alloc m (Machine.On_node 1) ~lines:1 in
+  let shared = Machine.alloc m Machine.Interleave ~lines:1 in
+  (* thread 0 = core 0 on socket 0; thread 40 = core 20 on socket 2 *)
+  ignore (Machine.access m ~now:0 ~thread:0 ~addr:owned ~kind:Machine.Write);
+  ignore (Machine.access m ~now:0 ~thread:0 ~addr:shared ~kind:Machine.Write);
+  ignore (Machine.access m ~now:0 ~thread:40 ~addr:shared ~kind:Machine.Read);
+  let regions =
+    List.init 600 (fun i ->
+        let pol = if i mod 3 = 0 then Machine.Interleave else Machine.On_node (i mod 4) in
+        let lines = 1 + (i * 97 mod 700) in
+        (pol, lines, Machine.alloc m pol ~lines))
+  in
+  let total = List.fold_left (fun acc (_, lines, _) -> acc + lines) 0 regions in
+  Alcotest.(check bool) (Printf.sprintf "%d lines allocated" total) true (total > 200_000);
+  let wrong = ref 0 in
+  List.iter
+    (fun (pol, lines, base) ->
+      for j = 0 to lines - 1 do
+        let want = match pol with Machine.On_node n -> n | Machine.Interleave -> j mod 4 in
+        if Machine.home_of m (base + j) <> want then incr wrong
+      done)
+    regions;
+  Alcotest.(check int) "lines homed wrong" 0 !wrong;
+  Alcotest.(check int) "early line keeps its home" 1 (Machine.home_of m owned);
+  Alcotest.(check int) "owner's read is still a private hit" costs.Costs.priv_hit
+    (Machine.access m ~now:0 ~thread:0 ~addr:owned ~kind:Machine.Read);
+  let remote0 = Stats.get (Machine.stats m) "remote_misses" in
+  (* [owned] and [shared] share a page, which the reader's TLB maps *)
+  Alcotest.(check int) "a socket-2 reader pays the transfer from socket 0" costs.Costs.llc_remote
+    (Machine.access m ~now:0 ~thread:40 ~addr:owned ~kind:Machine.Read);
+  Alcotest.(check int) "counted as a remote miss" (remote0 + 1)
+    (Stats.get (Machine.stats m) "remote_misses");
+  Alcotest.(check int) "upgrading a shared line invalidates the remote sharer"
+    (costs.Costs.priv_hit + costs.Costs.inval_remote)
+    (Machine.access m ~now:1_000_000 ~thread:0 ~addr:shared ~kind:Machine.Write)
+
 (* --- [stats] is a snapshot of the typed counters ---------------------- *)
 
 let seeded_trace m =
@@ -455,5 +518,7 @@ let suite =
     ("cycles to seconds", `Quick, test_cycles_to_seconds);
     ("private hits allocation-free", `Quick, test_private_hits_allocation_free);
     ("misses allocation-free", `Quick, test_misses_allocation_free);
+    ("first-touch misses allocation-free", `Quick, test_first_touch_allocation_free);
+    ("directory growth keeps state", `Quick, test_directory_growth);
     ("stats snapshot", `Quick, test_stats_snapshot);
   ]

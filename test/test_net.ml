@@ -475,6 +475,78 @@ let test_server_min_int_key () =
   in
   Alcotest.(check (list string)) "END then STORED" [ "values:0"; "stored" ] shape
 
+(* Wire keys are canonical decimal: "1_0", "010", "0xa" and "+10" all
+   read as 10 under [int_of_string], but are distinct memcached keys and
+   must not see the item stored under "10". *)
+let test_server_strict_keys () =
+  let s = mk () in
+  let net = Net.create s () in
+  let backend = Variants.stock s ~nclients:2 ~buckets:64 ~capacity:128 in
+  let srv = Server.start s net ~backend { Server.default_config with npollers = 2 } in
+  let dec = Wire.decoder () in
+  let responses = ref [] in
+  let c =
+    Net.connect net ~nic:0
+      ~rx:(fun data ->
+        Wire.feed dec data;
+        let rec drain () =
+          match Wire.next_response dec with
+          | Wire.Item r ->
+              responses := r :: !responses;
+              drain ()
+          | Wire.Need_more | Wire.Bad _ -> ()
+        in
+        drain ())
+      ()
+  in
+  let send reqs =
+    let b = Buffer.create 256 in
+    List.iter (Wire.encode_request b) reqs;
+    Net.send net c (Buffer.contents b)
+  in
+  let set key =
+    Wire.Set { key; flags = 0; exptime = 0; data = String.make 64 'v'; noreply = false }
+  in
+  send [ set "10" ];
+  Sthread.at s ~time:100_000 (fun () ->
+      send
+        [
+          Wire.Get [ "10" ];
+          Wire.Get [ "1_0" ];
+          Wire.Get [ "010" ];
+          Wire.Get [ "0xa" ];
+          Wire.Get [ "+10" ];
+          Wire.Get [ "-0"; "0b1010"; "0u10"; "4611686018427387904" ];
+          set "010";
+          Wire.Delete { key = "0xa"; noreply = false };
+          Wire.Get [ "10" ];
+        ]);
+  Sthread.at s ~time:300_000 (fun () -> Server.stop srv);
+  Sthread.run s;
+  let shape =
+    List.rev_map
+      (function
+        | Wire.Values vs -> "values:" ^ String.concat "," (List.map (fun v -> v.Wire.vkey) vs)
+        | Wire.Stored -> "stored"
+        | Wire.Client_error m -> "client_error " ^ m
+        | _ -> "other")
+      !responses
+  in
+  Alcotest.(check (list string)) "only the canonical key hits"
+    [
+      "stored";
+      "values:10";
+      "values:";
+      "values:";
+      "values:";
+      "values:";
+      "values:";
+      "client_error bad key";
+      "client_error bad key";
+      "values:10";
+    ]
+    shape
+
 let test_server_connection_limit () =
   let s = mk () in
   let net = Net.create s () in
@@ -623,6 +695,7 @@ let suite =
     ("refusal and unlisten", `Quick, test_refusal);
     ("server end to end", `Quick, test_server_end_to_end);
     ("server min_int key", `Quick, test_server_min_int_key);
+    ("server strict keys", `Quick, test_server_strict_keys);
     ("server connection limit", `Quick, test_server_connection_limit);
     ("connection churn soak", `Quick, test_connection_churn_soak);
     ("DPS fleet deterministic", `Quick, test_fleet_dps_deterministic);

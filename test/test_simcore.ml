@@ -1,8 +1,8 @@
-(* Tests for the simulation support kit: PRNG, bitsets, event heap,
-   histograms, counters. *)
+(* Tests for the simulation support kit: PRNG, event heap, histograms,
+   counters, and the bit scan of the machine directory's sharer sets. *)
 
 module Prng = Dps_simcore.Prng
-module Bitset = Dps_simcore.Bitset
+module Sharers = Dps_machine.Machine.Sharers
 module Heap = Dps_simcore.Heap
 module Histogram = Dps_simcore.Histogram
 module Stats = Dps_simcore.Stats
@@ -52,58 +52,59 @@ let test_prng_below_probability () =
   let frac = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) "~30%" true (frac > 0.28 && frac < 0.32)
 
+(* The coherence directory's sharer sets: [Sharers.words n] ints per set,
+   packed side by side in one flat array. Each test packs a decoy set
+   after the one it checks, so a helper that strays past its own words
+   shows up. *)
+let sharer_sets n =
+  let nw = Sharers.words n in
+  (Array.make (2 * nw) 0, nw)
+
+let members w base nw =
+  let rec walk i = match Sharers.next w base nw i with -1 -> [] | m -> m :: walk (m + 1) in
+  walk 0
+
 let test_bitset_basics () =
-  let b = Bitset.create 100 in
-  Alcotest.(check bool) "empty" true (Bitset.is_empty b);
-  Bitset.add b 0;
-  Bitset.add b 63;
-  Bitset.add b 64;
-  Bitset.add b 99;
-  Alcotest.(check int) "cardinal" 4 (Bitset.cardinal b);
-  Alcotest.(check bool) "mem 63" true (Bitset.mem b 63);
-  Alcotest.(check bool) "not mem 42" false (Bitset.mem b 42);
-  Bitset.remove b 63;
-  Alcotest.(check bool) "removed" false (Bitset.mem b 63);
-  Alcotest.(check int) "cardinal after remove" 3 (Bitset.cardinal b)
+  let w, nw = sharer_sets 100 in
+  Alcotest.(check int) "two words for 100 cores" 2 nw;
+  Alcotest.(check (list int)) "empty" [] (members w 0 nw);
+  List.iter (Sharers.add w 0) [ 0; 63; 64; 99 ];
+  Alcotest.(check int) "cardinal" 4 (List.length (members w 0 nw));
+  Alcotest.(check bool) "mem 63" true (Sharers.mem w 0 63);
+  Alcotest.(check bool) "not mem 42" false (Sharers.mem w 0 42);
+  Sharers.remove w 0 63;
+  Alcotest.(check bool) "removed" false (Sharers.mem w 0 63);
+  Alcotest.(check (list int)) "after remove" [ 0; 64; 99 ] (members w 0 nw);
+  Alcotest.(check (list int)) "decoy untouched" [] (members w nw nw)
 
 let test_bitset_iter_order () =
-  let b = Bitset.create 200 in
-  List.iter (Bitset.add b) [ 150; 3; 77; 0; 199 ];
-  let got = Bitset.fold (fun acc i -> i :: acc) [] b |> List.rev in
-  Alcotest.(check (list int)) "sorted member order" [ 0; 3; 77; 150; 199 ] got
+  let w, nw = sharer_sets 200 in
+  Sharers.add w nw 1;
+  List.iter (Sharers.add w 0) [ 150; 3; 77; 0; 199 ];
+  Alcotest.(check (list int)) "sorted member order" [ 0; 3; 77; 150; 199 ] (members w 0 nw)
 
 let test_bitset_next () =
-  let b = Bitset.create 200 in
-  List.iter (Bitset.add b) [ 150; 3; 62; 63; 0; 199 ];
-  let rec walk i = match Bitset.next b i with -1 -> [] | m -> m :: walk (m + 1) in
-  Alcotest.(check (list int)) "walk equals iter" [ 0; 3; 62; 63; 150; 199 ] (walk 0);
-  Alcotest.(check int) "from a member" 62 (Bitset.next b 62);
-  Alcotest.(check int) "skips within a word" 62 (Bitset.next b 4);
-  Alcotest.(check int) "first bit of the second word" 63 (Bitset.next b 63);
-  Alcotest.(check int) "between members" 150 (Bitset.next b 64);
-  Alcotest.(check int) "past the last member" (-1) (Bitset.next b 200);
-  Alcotest.(check int) "empty set" (-1) (Bitset.next (Bitset.create 10) 0)
+  let w, nw = sharer_sets 200 in
+  Sharers.add w nw 5;
+  List.iter (Sharers.add w 0) [ 150; 3; 62; 63; 0; 199 ];
+  let next = Sharers.next w 0 nw in
+  Alcotest.(check (list int))
+    "walk in increasing order" [ 0; 3; 62; 63; 150; 199 ] (members w 0 nw);
+  Alcotest.(check int) "from a member" 62 (next 62);
+  Alcotest.(check int) "skips within a word" 62 (next 4);
+  Alcotest.(check int) "first bit of the second word" 63 (next 63);
+  Alcotest.(check int) "between members" 150 (next 64);
+  Alcotest.(check int) "past the last member" (-1) (next 200);
+  Alcotest.(check int) "empty set" (-1) (Sharers.next (Array.make 1 0) 0 1 0);
+  Alcotest.(check (list int)) "decoy walks alone" [ 5 ] (members w nw nw)
 
 let test_bitset_clear () =
-  let b = Bitset.create 70 in
-  List.iter (Bitset.add b) [ 1; 2; 3; 69 ];
-  Bitset.clear b;
-  Alcotest.(check bool) "empty after clear" true (Bitset.is_empty b)
-
-let test_bitset_singleton () =
-  let b = Bitset.create 10 in
-  Alcotest.(check (option int)) "empty" None (Bitset.singleton_or_empty b);
-  Bitset.add b 7;
-  Alcotest.(check (option int)) "single" (Some 7) (Bitset.singleton_or_empty b);
-  Bitset.add b 2;
-  Alcotest.(check (option int)) "two" None (Bitset.singleton_or_empty b)
-
-let test_bitset_exists () =
-  let b = Bitset.create 64 in
-  Bitset.add b 10;
-  Bitset.add b 20;
-  Alcotest.(check bool) "exists even" true (Bitset.exists (fun i -> i mod 2 = 0) b);
-  Alcotest.(check bool) "exists >30" false (Bitset.exists (fun i -> i > 30) b)
+  let w, nw = sharer_sets 70 in
+  List.iter (Sharers.add w 0) [ 1; 2; 3; 69 ];
+  List.iter (Sharers.add w nw) [ 0; 69 ];
+  Sharers.clear w 0 nw;
+  Alcotest.(check (list int)) "empty after clear" [] (members w 0 nw);
+  Alcotest.(check (list int)) "decoy untouched" [ 0; 69 ] (members w nw nw)
 
 let test_heap_ordering () =
   let h = Heap.create () in
@@ -222,21 +223,21 @@ let qcheck_bitset_model =
   QCheck.Test.make ~name:"bitset agrees with list model" ~count:200
     QCheck.(list (pair bool (int_bound 99)))
     (fun ops ->
-      let b = Bitset.create 100 in
+      let w, nw = sharer_sets 100 in
       let model = Hashtbl.create 16 in
       List.iter
         (fun (add, i) ->
           if add then begin
-            Bitset.add b i;
+            Sharers.add w 0 i;
             Hashtbl.replace model i ()
           end
           else begin
-            Bitset.remove b i;
+            Sharers.remove w 0 i;
             Hashtbl.remove model i
           end)
         ops;
-      Bitset.cardinal b = Hashtbl.length model
-      && List.for_all (fun i -> Bitset.mem b i = Hashtbl.mem model i) (List.init 100 Fun.id))
+      members w 0 nw = List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) model [])
+      && List.for_all (fun i -> Sharers.mem w 0 i = Hashtbl.mem model i) (List.init 100 Fun.id))
 
 let suite =
   [
@@ -250,8 +251,6 @@ let suite =
     ("bitset iter order", `Quick, test_bitset_iter_order);
     ("bitset next", `Quick, test_bitset_next);
     ("bitset clear", `Quick, test_bitset_clear);
-    ("bitset singleton", `Quick, test_bitset_singleton);
-    ("bitset exists", `Quick, test_bitset_exists);
     ("heap ordering", `Quick, test_heap_ordering);
     ("heap fifo ties", `Quick, test_heap_fifo_ties);
     ("heap grow", `Quick, test_heap_grow);
